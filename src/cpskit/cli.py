@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import re
 import sys
 
-from .core import Observation, derive_stream
+from .core import Columns, derive_stream
 from .harness import (
     SAMPLERS,
     SYSTEMS,
@@ -116,71 +117,91 @@ def _parse_tau(text: str) -> float | None:
     raise ValueError(f"tau policy must be 'random' or 'fixed:<v>', got {text!r}")
 
 
-def _read_training(path: str) -> list[Observation]:
+def _read_training(path: str) -> Columns:
+    """Training rows of a CSV file with header ``x1,...,xd,y``.
+
+    Fields are plain ASCII reals with a ``.`` decimal point.  ``float``
+    also reads digit-group underscores and non-ASCII digits, so a file
+    holding either is rejected before parsing.  A UTF-8 byte-order mark
+    is skipped.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            expected = [f"x{i}" for i in range(1, len(header))] + ["y"]
-            if len(header) < 2 or header != expected:
-                raise DataError(
-                    f"{path}: header must be x1,...,xd,y (got {','.join(header)})"
-                )
-            d = len(header) - 1
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != d + 1:
-                    raise DataError(f"{path}:{lineno}: expected {d + 1} fields")
-                try:
-                    vals = [float(v) for v in row]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                if not all(math.isfinite(v) for v in vals):
-                    raise DataError(f"{path}:{lineno}: non-finite value")
-                rows.append(Observation(tuple(vals[:d]), vals[d]))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    expected = [f"x{i}" for i in range(1, len(header))] + ["y"]
+    if len(header) < 2 or header != expected:
+        raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
+    plain = text.isascii() and "_" not in text
+    d = len(header) - 1
+    xs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise DataError(f"{path}:{lineno}: expected {d + 1} fields")
+        if not plain:
+            for v in row:
+                if not v.isascii() or "_" in v:
+                    raise DataError(f"{path}:{lineno}: {v!r} is not a plain decimal real")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        xs.append(vals[:d])
+        ys.append(vals[d])
+    if not ys:
         raise DataError(f"{path}: no data rows")
-    return rows
+    return Columns(xs, ys)
 
 
 def _cmd_band(args) -> int:
     training = _read_training(args.input)
-    d = training[0].d
-    if any(o.d != d for o in training):
-        raise DataError("training rows have inconsistent predictor dimension")
+    d = training.d
     try:
         x = tuple(float(v) for v in args.x.split(","))
     except ValueError:
         raise ValueError(f"--x must be comma-separated reals, got {args.x!r}") from None
+    if not all(math.isfinite(v) for v in x):
+        raise ValueError(f"--x must be finite, got {args.x!r}")
+    if args.u is not None and not math.isfinite(args.u):
+        raise ValueError(f"--u must be finite, got {args.u!r}")
     if len(x) != d:
         raise ValueError(f"--x has dimension {len(x)}, training data has {d}")
     if args.system in SCALAR_SYSTEMS and d != 1:
         raise ValueError(f"system {args.system!r} requires scalar predictors")
-    seed = _seed_of(args)
-    stream = derive_stream(seed, [0])
+    if args.system == "venn" and args.u is None:
+        raise ValueError("system 'venn' requires --u (postulated response)")
+    stream = derive_stream(_seed_of(args), [0])
     n = len(training)
-    if args.system == "dh":
-        band = dh_band([o.y for o in training])
-    elif args.system == "nn":
-        band = nn_band(training, x, stream)
-    elif args.system == "hist-mondrian":
-        band = hmps_band(training, x)
-    elif args.system == "hist-conformal":
-        band = hcps_band(training, x, thetas=stream.uniforms(n + 1).tolist())
-    elif args.system == "pfs":
-        band = pfs_distribution(training, x)
-    else:  # venn
-        if args.u is None:
-            raise ValueError("system 'venn' requires --u (postulated response)")
-        band = venn_distribution(histogram_taxonomy, training, x, args.u)
+    # The arguments are valid from here on: a failure to build the band
+    # comes from the data, such as crossings or cell numbers that overflow.
+    try:
+        if args.system == "dh":
+            band = dh_band(training.ys)
+        elif args.system == "nn":
+            band = nn_band(training.observations(), x, stream)
+        elif args.system == "hist-mondrian":
+            band = hmps_band(training, x)
+        elif args.system == "hist-conformal":
+            band = hcps_band(training, x, thetas=stream.uniforms(n + 1))
+        elif args.system == "pfs":
+            band = pfs_distribution(training, x)
+        else:  # venn
+            band = venn_distribution(histogram_taxonomy, training.observations(), x, args.u)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"cannot build the {args.system} band from {args.input}: {exc}") from None
     if args.format == "json":
         print(band.to_json())
     else:

@@ -1,4 +1,5 @@
-"""Core data model: observations, predictive bands, and seeded random streams.
+"""Core data model: observations, their column form, predictive bands, and
+seeded random streams.
 
 A predictive band stores the two extreme members (``tau = 0`` and ``tau = 1``)
 of a randomized predictive distribution as piecewise-constant curves over the
@@ -11,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "VALUE_TOL",
     "Observation",
     "ExtendedObservation",
+    "Columns",
+    "as_columns",
     "PredictiveBand",
     "RandomStream",
     "derive_stream",
@@ -89,6 +92,87 @@ class ExtendedObservation:
         return self.obs.y
 
 
+def _trusted_observation(x: tuple[float, ...], y: float) -> Observation:
+    """An Observation from values already checked finite, skipping re-validation."""
+    obs = object.__new__(Observation)
+    object.__setattr__(obs, "x", x)
+    object.__setattr__(obs, "y", y)
+    return obs
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+class Columns:
+    """Observations in column form: float64 predictors ``xs[n, d]`` and
+    responses ``ys[n]``.
+
+    Construction copies the inputs, checks shape and finiteness once, and
+    freezes the arrays.  A one-dimensional ``xs`` is read as ``d = 1``.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs, ys):
+        xs, ys = _frozen(xs), _frozen(ys)
+        if xs.ndim == 1:
+            xs = xs.reshape(-1, 1)
+        if xs.ndim != 2 or ys.ndim != 1 or len(xs) != len(ys):
+            raise ValueError(
+                f"need xs[n, d] and ys[n], got shapes {xs.shape} and {ys.shape}"
+            )
+        if xs.shape[1] < 1:
+            raise ValueError("predictor must have dimension >= 1")
+        if not np.isfinite(xs).all():
+            raise ValueError("predictor components must be finite")
+        if not np.isfinite(ys).all():
+            raise ValueError("responses must be finite")
+        self.xs, self.ys = xs, ys
+
+    @classmethod
+    def from_observations(cls, observations: Sequence) -> "Columns":
+        """Columns of a sequence of observations (plain or extended)."""
+        return cls([o.x for o in observations], [o.y for o in observations])
+
+    @property
+    def d(self) -> int:
+        """Predictor dimension."""
+        return self.xs.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ys)
+
+    def head(self, k: int) -> "Columns":
+        """The first ``k`` rows, sharing the (frozen, checked) arrays."""
+        out = object.__new__(Columns)
+        out.xs, out.ys = self.xs[:k], self.ys[:k]
+        return out
+
+    def row(self, i: int) -> Observation:
+        """Row ``i`` as an Observation."""
+        return _trusted_observation(tuple(self.xs[i].tolist()), float(self.ys[i]))
+
+    def observations(self) -> list[Observation]:
+        """Every row as an Observation, in order."""
+        return [
+            _trusted_observation(tuple(x), y)
+            for x, y in zip(self.xs.tolist(), self.ys.tolist())
+        ]
+
+
+def as_columns(training) -> Columns:
+    """``training`` itself when it is Columns, else its column form."""
+    return training if isinstance(training, Columns) else Columns.from_observations(training)
+
+
+_BAND_FIELDS = ("jumps", "lower", "upper", "at_jump_lower", "at_jump_upper")
+# Bands with at least this many jumps are validated by array checks first.
+_ARRAY_CHECKS_FROM = 32
+
+
 @dataclass(frozen=True)
 class PredictiveBand:
     """Piecewise-constant lower/upper distribution-function pair.
@@ -111,19 +195,36 @@ class PredictiveBand:
     upper: tuple[float, ...]
     at_jump_lower: tuple[float, ...]
     at_jump_upper: tuple[float, ...]
+    # Frozen float64 copies of the five fields, for the vectorized checks
+    # and integrals; not part of equality, hashing or the repr.
+    _arrays: tuple[np.ndarray, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
-        for name in ("jumps", "lower", "upper", "at_jump_lower", "at_jump_upper"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        arrays = tuple(_frozen(getattr(self, name)) for name in _BAND_FIELDS)
+        if any(a.ndim != 1 for a in arrays):
+            raise ValueError("band fields must be one-dimensional sequences")
+        for name, a in zip(_BAND_FIELDS, arrays):
+            object.__setattr__(self, name, tuple(a.tolist()))
+        object.__setattr__(self, "_arrays", arrays)
         self.validate()
 
     def validate(self) -> None:
-        """Re-check every structural invariant; raises ValueError on failure."""
+        """Re-check every structural invariant; raises ValueError on failure.
+
+        A band with many jumps is accepted by one round of array checks.  A
+        small band, where numpy's cost per call outweighs the loops, and a
+        band that fails the array checks are checked invariant by invariant,
+        which names the first violation.
+        """
         m = len(self.jumps)
         if len(self.lower) != m + 1 or len(self.upper) != m + 1:
             raise ValueError("plateau lists must have len(jumps) + 1 entries")
         if len(self.at_jump_lower) != m or len(self.at_jump_upper) != m:
             raise ValueError("at-jump lists must have len(jumps) entries")
+        if m >= _ARRAY_CHECKS_FROM and self._passes_array_checks():
+            return
         for j in self.jumps:
             if not math.isfinite(j):
                 raise ValueError("jump locations must be finite")
@@ -151,6 +252,26 @@ class PredictiveBand:
         if abs(self.upper[-1] - 1.0) > VALUE_TOL:
             raise ValueError("rightmost upper plateau must be 1")
 
+    def _passes_array_checks(self) -> bool:
+        """Every invariant after the lengths, as a few vectorized comparisons."""
+        jumps, lower, upper, ajl, aju = self._arrays
+        m = len(jumps)
+        # Q_0 and Q_1 along the response axis: plateau, jump value, plateau, ...
+        curves = np.empty((2, 2 * m + 1))
+        curves[0, 0::2], curves[1, 0::2] = lower, upper
+        curves[0, 1::2], curves[1, 1::2] = ajl, aju
+        # Strictly increasing jumps with finite ends are all finite.
+        return bool(
+            math.isfinite(self.jumps[0])
+            and math.isfinite(self.jumps[-1])
+            and (jumps[1:] > jumps[:-1]).all()
+            and ((curves >= -VALUE_TOL) & (curves <= 1.0 + VALUE_TOL)).all()
+            and (curves[0] <= curves[1] + VALUE_TOL).all()
+            and (curves[:, :-1] <= curves[:, 1:] + VALUE_TOL).all()
+            and abs(self.lower[0]) <= VALUE_TOL
+            and abs(self.upper[-1] - 1.0) <= VALUE_TOL
+        )
+
     def evaluate(self, y: float, tau: float) -> float:
         """Value of ``Q_tau`` at ``y``; linear in ``tau`` with slope >= 0."""
         if not 0.0 <= tau <= 1.0:
@@ -167,31 +288,40 @@ class PredictiveBand:
         """Randomization width ``Q_1(y) - Q_0(y)`` at ``y``."""
         return self.evaluate(y, 1.0) - self.evaluate(y, 0.0)
 
-    def integrate(self, f: Callable[[float], float], tau: float = 0.0) -> float:
+    def integrate(self, f: Callable, tau: float = 0.0) -> float:
         """Integral of ``f`` against the measure of right-limit increments.
 
         The measure places mass ``Q_tau(j_k+) - Q_tau(j_{k-1}+)`` at jump
         ``j_k`` (right limits, i.e. plateau differences) and no mass at
         +-inf; when the extreme limits are not 0 and 1 the result is a
         sub-probability integral.
+
+        ``f`` is called once on the float64 array of jump locations (a
+        scalar result is broadcast); an integrand that rejects arrays with a
+        TypeError or ValueError, such as ``math.cos``, is called per jump.
+        The terms are summed in jump order, so the result does not depend on
+        which of the two ways ``f`` was called.
         """
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {tau}")
-        total = 0.0
-        for k, yk in enumerate(self.jumps):
-            left = self.lower[k] + tau * (self.upper[k] - self.lower[k])
-            right = self.lower[k + 1] + tau * (self.upper[k + 1] - self.lower[k + 1])
-            v = float(f(yk))
-            if not math.isfinite(v):
-                raise ValueError(f"integrand is not finite at jump {yk!r}")
-            total += v * (right - left)
-        return total
+        jumps, lower, upper = self._arrays[:3]
+        if not len(jumps):
+            return 0.0
+        try:
+            values = np.broadcast_to(np.asarray(f(jumps), dtype=np.float64), jumps.shape)
+        except (TypeError, ValueError):
+            values = np.array([float(f(y)) for y in self.jumps])
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"integrand is not finite at jump {self.jumps[bad.argmax()]!r}")
+        q = lower + tau * (upper - lower)
+        # cumsum adds left to right like a loop from 0.0; adding 0.0 turns
+        # the one possible difference, a -0.0 total, into the loop's 0.0.
+        return float(np.cumsum(values * (q[1:] - q[:-1]))[-1]) + 0.0
 
     def is_distribution_function(self) -> bool:
         """True when lower and upper coincide everywhere (no tau slack)."""
-        return all(a == b for a, b in zip(self.lower, self.upper)) and all(
-            a == b for a, b in zip(self.at_jump_lower, self.at_jump_upper)
-        )
+        return self.lower == self.upper and self.at_jump_lower == self.at_jump_upper
 
     def to_dict(self) -> dict:
         return {

@@ -19,7 +19,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Observation, PredictiveBand, RandomStream, derive_stream
+import numpy as np
+
+from .core import Columns, Observation, PredictiveBand, RandomStream, derive_stream
 from .conformity import histogram_score, nn_score, trivial_score
 from .partition import histogram_taxonomy, scalar_predictor
 from .transducers import (
@@ -59,30 +61,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A named bounded continuous function with its bound."""
+    """A named bounded continuous function with its bound.
+
+    ``fn`` acts elementwise on float64 arrays as well as on single floats,
+    so that ``PredictiveBand.integrate`` can apply it to all jumps at once.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     name: str
-    fn: Callable[[float], float]
+    fn: Callable
     bound: float
 
 
-def _clamp(y: float) -> float:
-    return max(-1.0, min(1.0, y))
+def _clamp(y):
+    return np.clip(y, -1.0, 1.0)
 
 
 TEST_FUNCTIONS: dict[str, TestFunction] = {
     "clamp": TestFunction("clamp", _clamp, 1.0),
-    "cos": TestFunction("cos", math.cos, 1.0),
+    "cos": TestFunction("cos", np.cos, 1.0),
 }
 
 
 class Sampler:
     """Seeded IID source of observations with exact conditional expectations.
 
-    ``draw`` consumes exactly two uniforms per observation.  Subclasses with a
-    closed-form conditional oracle implement ``conditional_mean``.
+    ``columns`` and ``draw`` consume exactly two uniforms per observation,
+    ``(u1, u2)`` for row ``i`` being draws ``2i`` and ``2i + 1``.  Subclasses
+    define ``_make(u1, u2)`` for one row and may define the vectorized
+    ``_make_columns(u1, u2)``, which must give the same rows; the base class
+    builds columns from ``_make`` row by row.  Subclasses with a closed-form
+    conditional oracle implement ``conditional_mean``.
     """
 
     name: str = "base"
@@ -91,9 +101,19 @@ class Sampler:
     def _make(self, u1: float, u2: float) -> Observation:
         raise NotImplementedError
 
-    def draw(self, stream: RandomStream, k: int) -> list[Observation]:
+    def _make_columns(self, u1: np.ndarray, u2: np.ndarray) -> Columns:
+        return Columns.from_observations(
+            [self._make(a, b) for a, b in zip(u1.tolist(), u2.tolist())]
+        )
+
+    def columns(self, stream: RandomStream, k: int) -> Columns:
+        """``k`` observations in column form."""
         us = stream.uniforms(2 * k)
-        return [self._make(us[2 * i], us[2 * i + 1]) for i in range(k)]
+        return self._make_columns(us[0::2], us[1::2])
+
+    def draw(self, stream: RandomStream, k: int) -> list[Observation]:
+        """``k`` observations; the rows of ``columns`` on the same stream."""
+        return self.columns(stream, k).observations()
 
     def conditional_mean(self, f: TestFunction, x: float) -> float:
         raise ValueError(f"sampler {self.name!r} has no conditional oracle for {f.name!r}")
@@ -108,8 +128,11 @@ class NoisyLineSampler(Sampler):
         nu = -1.0 if u2 < 0.5 else 1.0
         return Observation(float(u1), 2.0 * float(u1) + nu)
 
+    def _make_columns(self, u1, u2):
+        return Columns(u1, 2.0 * u1 + np.where(u2 < 0.5, -1.0, 1.0))
+
     def conditional_mean(self, f, x):
-        return (f.fn(2.0 * x - 1.0) + f.fn(2.0 * x + 1.0)) / 2.0
+        return float((f.fn(2.0 * x - 1.0) + f.fn(2.0 * x + 1.0)) / 2.0)
 
 
 class IndependentSampler(Sampler):
@@ -120,6 +143,9 @@ class IndependentSampler(Sampler):
 
     def _make(self, u1, u2):
         return Observation(float(u1), float(u2))
+
+    def _make_columns(self, u1, u2):
+        return Columns(u1, u2)
 
     def conditional_mean(self, f, x):
         try:
@@ -139,8 +165,11 @@ class BernoulliSampler(Sampler):
     def _make(self, u1, u2):
         return Observation(float(u1), 1.0 if u2 < u1 else 0.0)
 
+    def _make_columns(self, u1, u2):
+        return Columns(u1, np.where(u2 < u1, 1.0, 0.0))
+
     def conditional_mean(self, f, x):
-        return (1.0 - x) * f.fn(0.0) + x * f.fn(1.0)
+        return float((1.0 - x) * f.fn(0.0) + x * f.fn(1.0))
 
 
 SAMPLERS: dict[str, Sampler] = {
@@ -170,11 +199,11 @@ def _pit_hist_conformal(training, test, tau, thetas, rng):
 
 
 def _band_dh(training, x, thetas, stream):
-    return dh_band([o.y for o in training])
+    return dh_band(training.ys)
 
 
 def _band_nn(training, x, thetas, stream):
-    return nn_band(training, x, stream)
+    return nn_band(training.observations(), x, stream)
 
 
 def _band_hist_mondrian(training, x, thetas, stream):
@@ -191,7 +220,11 @@ def _band_pfs(training, x, thetas, stream):
 
 @dataclass(frozen=True)
 class PredictiveSystemSpec:
-    """How to evaluate one named predictive system."""
+    """How to evaluate one named predictive system.
+
+    ``pit(training, test, tau, thetas, rng)`` takes observations;
+    ``band(training, x, thetas, stream)`` takes the training set as Columns.
+    """
 
     name: str
     conformal: bool
@@ -360,12 +393,13 @@ def consistency_curve(
         gaps = []
         for t in range(trials):
             st = derive_stream(seed, [2, j, t])
-            obs = sampler.draw(st, n + 1)
-            thetas = st.uniforms(n + 1).tolist()
+            cols = sampler.columns(st, n + 1)
+            thetas = st.uniforms(n + 1)
             tau_t = st.uniform() if tau is None else float(tau)
-            band = spec.band(obs[:n], obs[n].x, thetas, st)
+            test = cols.row(n)
+            band = spec.band(cols.head(n), test.x, thetas, st)
             value = band.integrate(f.fn, tau_t)
-            target = sampler.conditional_mean(f, scalar_predictor(obs[n]))
+            target = sampler.conditional_mean(f, scalar_predictor(test))
             gaps.append(abs(value - target))
         gaps.sort()
         mid = len(gaps) // 2

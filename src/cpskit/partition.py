@@ -5,7 +5,16 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["h_schedule", "cell_index", "scalar_predictor", "histogram_taxonomy"]
+import numpy as np
+
+__all__ = [
+    "h_schedule",
+    "cell_index",
+    "cell_indices",
+    "scalar_predictor",
+    "scalar_column",
+    "histogram_taxonomy",
+]
 
 
 def h_schedule(n: int) -> float:
@@ -29,6 +38,33 @@ def cell_index(x: float, h: float) -> int:
     return math.floor(x / h)
 
 
+def cell_indices(xs, h: float) -> np.ndarray:
+    """``cell_index`` of every entry of ``xs``, as integral float64 values.
+
+    Raises ValueError when ``x / h`` overflows, where ``cell_index`` has no
+    integer to return.
+    """
+    with np.errstate(over="ignore"):
+        cells = np.floor(np.asarray(xs, dtype=np.float64) / h)
+    if not np.isfinite(cells).all():
+        raise ValueError(f"predictor too large for cells of width {h!r}")
+    return cells
+
+
+def _not_scalar(d: int) -> ValueError:
+    return ValueError(
+        f"scalar predictors required, got dimension {d}; "
+        "map multivariate predictors to the line first"
+    )
+
+
+def scalar_column(columns) -> np.ndarray:
+    """The predictor column of :class:`~cpskit.core.Columns` with ``d = 1``."""
+    if columns.d != 1:
+        raise _not_scalar(columns.d)
+    return columns.xs[:, 0]
+
+
 def scalar_predictor(item) -> float:
     """Extract a scalar predictor from a number, 1-vector, or observation."""
     if isinstance(item, (int, float)):
@@ -37,10 +73,7 @@ def scalar_predictor(item) -> float:
     if isinstance(x, (int, float)):
         return float(x)
     if len(x) != 1:
-        raise ValueError(
-            f"scalar predictors required, got dimension {len(x)}; "
-            "map multivariate predictors to the line first"
-        )
+        raise _not_scalar(len(x))
     return float(x[0])
 
 

@@ -13,15 +13,28 @@ response.
 
 from __future__ import annotations
 
-import bisect
-from collections import Counter
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ExtendedObservation, Observation, PredictiveBand, RandomStream
-from .conformity import _pick_response, _sq_dist, histogram_score, nn_score, trivial_score
-from .partition import cell_index, h_schedule, histogram_taxonomy, scalar_predictor
+from .core import (
+    Columns,
+    ExtendedObservation,
+    Observation,
+    PredictiveBand,
+    RandomStream,
+    as_columns,
+)
+from .conformity import _pick_response, _sq_dist
+from .partition import (
+    cell_index,
+    cell_indices,
+    h_schedule,
+    histogram_taxonomy,
+    scalar_column,
+    scalar_predictor,
+)
 
 __all__ = [
     "h_schedule",
@@ -131,7 +144,22 @@ def mondrian_pvalue(
     return (less + tau * tied) / (len(members) + 1)
 
 
-def _rank_band(points: Sequence[float]) -> PredictiveBand:
+def _group(values) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values in increasing order, and the counts below them.
+
+    Returns ``(jumps, below)`` where ``below[k]`` counts the values less than
+    ``jumps[k]`` and the extra last entry ``below[-1]`` counts them all.  The
+    sort is stable, so of equal values ``-0.0`` and ``0.0`` the first given
+    becomes the jump.
+    """
+    v = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    first = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return v[starts], np.concatenate((starts, [len(v)]))
+
+
+def _rank_band(points) -> PredictiveBand:
     """Band of the rank p-value whose score crossings sit at ``points``.
 
     With ``n`` crossing points (a multiset) the value on an open interval
@@ -139,50 +167,35 @@ def _rank_band(points: Sequence[float]) -> PredictiveBand:
     below, and at a point of multiplicity ``m`` it widens to
     ``[c, c + m + 1] / (n + 1)``.
     """
-    pts = sorted(float(p) for p in points)
-    n = len(pts)
-    den = n + 1
-    jumps: list[float] = []
-    mults: list[int] = []
-    for p in pts:
-        if jumps and jumps[-1] == p:
-            mults[-1] += 1
-        else:
-            jumps.append(p)
-            mults.append(1)
-    below = [0]
-    for m in mults:
-        below.append(below[-1] + m)
-    lower = tuple(c / den for c in below)
-    upper = tuple((c + 1) / den for c in below)
-    at_lower = tuple(below[k] / den for k in range(len(jumps)))
-    at_upper = tuple((below[k + 1] + 1) / den for k in range(len(jumps)))
-    return PredictiveBand(tuple(jumps), lower, upper, at_lower, at_upper)
+    jumps, below = _group(points)
+    den = int(below[-1]) + 1
+    lower, upper = below / den, (below + 1) / den
+    return PredictiveBand(jumps, lower, upper, lower[:-1], upper[1:])
 
 
-def _ecdf_band(values: Sequence[float]) -> PredictiveBand:
+def _ecdf_band(values) -> PredictiveBand:
     """Right-continuous empirical distribution function as a degenerate band."""
-    vals = sorted(float(v) for v in values)
-    if not vals:
+    if len(values) == 0:
         raise ValueError("empirical distribution needs at least one value")
-    n = len(vals)
-    jumps: list[float] = []
-    counts: list[int] = []
-    for v in vals:
-        if jumps and jumps[-1] == v:
-            counts[-1] += 1
-        else:
-            jumps.append(v)
-            counts.append(1)
-    cum = [0]
-    for c in counts:
-        cum.append(cum[-1] + c)
-    plats = tuple(c / n for c in cum)
-    at = tuple(cum[k + 1] / n for k in range(len(jumps)))
-    return PredictiveBand(tuple(jumps), plats, plats, at, at)
+    jumps, below = _group(values)
+    plats = below / int(below[-1])
+    return PredictiveBand(jumps, plats, plats, plats[1:], plats[1:])
 
 
-def dh_band(responses: Sequence[float]) -> PredictiveBand:
+def _cells(training: Columns, x) -> tuple[np.ndarray, float]:
+    """Cell of every training predictor and of ``x``, at width ``h_schedule(n)``."""
+    h = h_schedule(len(training))
+    cells = cell_indices(scalar_column(training), h)
+    return cells, cell_indices([scalar_predictor(x)], h)[0]
+
+
+def _in_cell_responses(training, x) -> np.ndarray:
+    cols = as_columns(training)
+    cells, c_test = _cells(cols, x)
+    return cols.ys[cells == c_test]
+
+
+def dh_band(responses) -> PredictiveBand:
     """Predictive band built from response ranks alone, ignoring predictors.
 
     Distinct responses give plateaus ``[i, i + 1] / (n + 1)`` between sorted
@@ -226,7 +239,10 @@ def nn_band(
         others = [dist(obs.x, training[j].x) for j in range(n) if j != i]
         min_other = min(others) if others else float("inf")
         if to_test[i] < min_other:
-            crossings.append((y_hat + obs.y) / 2.0)
+            # Halving first keeps the midpoint finite for any two finite
+            # responses; halving normal doubles is exact, so elsewhere this
+            # equals (y_hat + y) / 2.
+            crossings.append(y_hat / 2.0 + obs.y / 2.0)
         else:
             nearby = [
                 training[j].y
@@ -237,7 +253,7 @@ def nn_band(
     return _rank_band(crossings)
 
 
-def hmps_band(training: Sequence[Observation], x) -> PredictiveBand:
+def hmps_band(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
     """Cell-conditional response-rank band at scalar predictor ``x``.
 
     Only training observations falling in the dyadic cell of ``x`` (width
@@ -245,18 +261,15 @@ def hmps_band(training: Sequence[Observation], x) -> PredictiveBand:
     with denominator ``N + 1``.  An empty cell leaves only the candidate in
     its class, giving ``Q_tau identically tau``.
     """
-    n = len(training)
-    if n < 1:
+    if len(training) < 1:
         raise ValueError("hmps_band requires at least one training observation")
-    h = h_schedule(n)
-    cell = cell_index(scalar_predictor(x), h)
-    in_cell = [o.y for o in training if cell_index(scalar_predictor(o), h) == cell]
-    if not in_cell:
+    in_cell = _in_cell_responses(training, x)
+    if not len(in_cell):
         return PredictiveBand((), (0.0,), (1.0,), (), ())
     return _rank_band(in_cell)
 
 
-def pfs_distribution(training: Sequence[Observation], x) -> PredictiveBand:
+def pfs_distribution(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
     """Empirical distribution of in-cell responses; a point mass at 0 if none.
 
     The result is a genuine right-continuous distribution function (lower and
@@ -264,10 +277,8 @@ def pfs_distribution(training: Sequence[Observation], x) -> PredictiveBand:
     """
     if len(training) < 1:
         raise ValueError("pfs_distribution requires at least one training observation")
-    h = h_schedule(len(training))
-    cell = cell_index(scalar_predictor(x), h)
-    in_cell = [o.y for o in training if cell_index(scalar_predictor(o), h) == cell]
-    return _ecdf_band(in_cell if in_cell else [0.0])
+    in_cell = _in_cell_responses(training, x)
+    return _ecdf_band(in_cell if len(in_cell) else [0.0])
 
 
 def venn_distribution(
@@ -293,24 +304,29 @@ def venn_distribution(
     return _ecdf_band(class_responses)
 
 
-def _assemble_band(
+def band_from_pvalue(
     jump_candidates: Sequence[float],
-    q01: Callable[[float], tuple[float, float]],
+    pvalue: Callable[[float, float], float],
 ) -> PredictiveBand:
-    """Build a band by probing a piecewise-constant p-value function.
+    """Band extracted from a p-value callable ``pvalue(y, tau)``.
 
-    ``q01(y)`` returns ``(Q_0(y), Q_1(y))``.  The function must be constant on
-    the open intervals between candidate jump locations, so probing interval
-    midpoints (and one point beyond each end) is exact.  Candidates that
-    change nothing are dropped.
+    Exact (not a grid approximation) whenever the p-value is constant between
+    the candidate jump locations, which holds for rank transducers probed at
+    their score-crossing points.  Plateaus are probed at the next double
+    beyond each end and at ``a/2 + b/2`` between neighbours ``a < b``, which
+    stays finite near the largest doubles.  Candidates that change nothing
+    are dropped.
     """
+    def q01(y: float) -> tuple[float, float]:
+        return pvalue(y, 0.0), pvalue(y, 1.0)
+
     jumps = sorted(set(float(j) for j in jump_candidates))
     if not jumps:
         lo, hi = q01(0.0)
         return PredictiveBand((), (lo,), (hi,), (), ())
-    probes = [jumps[0] - 1.0]
-    probes += [(a + b) / 2.0 for a, b in zip(jumps, jumps[1:])]
-    probes.append(jumps[-1] + 1.0)
+    probes = [math.nextafter(jumps[0], -math.inf)]
+    probes += [a / 2.0 + b / 2.0 for a, b in zip(jumps, jumps[1:])]
+    probes.append(math.nextafter(jumps[-1], math.inf))
     plats = [q01(p) for p in probes]
     at = [q01(j) for j in jumps]
     out_jumps: list[float] = []
@@ -332,21 +348,8 @@ def _assemble_band(
     )
 
 
-def band_from_pvalue(
-    jump_candidates: Sequence[float],
-    pvalue: Callable[[float, float], float],
-) -> PredictiveBand:
-    """Band extracted from a p-value callable ``pvalue(y, tau)``.
-
-    Exact (not a grid approximation) whenever the p-value is constant between
-    the candidate jump locations, which holds for rank transducers probed at
-    their score-crossing points.
-    """
-    return _assemble_band(jump_candidates, lambda y: (pvalue(y, 0.0), pvalue(y, 1.0)))
-
-
 def hcps_band(
-    training: Sequence[Observation],
+    training: Sequence[Observation] | Columns,
     x,
     thetas: Sequence[float] | None = None,
     stream: RandomStream | None = None,
@@ -359,6 +362,16 @@ def hcps_band(
     cell is empty); between consecutive in-cell responses every score is
     constant, so the construction is exact.  Agrees with
     ``conformal_pvalue(histogram_score, ...)`` at every ``(y, tau)``.
+
+    One sorted sweep builds it.  Let ``m`` training points share the test
+    cell.  For a candidate response ``y`` strictly between in-cell
+    responses, with ``B`` of them below, the candidate scores ``B/m``, and
+    of the in-cell points exactly the ``B`` below score less and none tie.
+    At an in-cell response ``v`` held by the group ``G``, with ``B`` below
+    ``v``, the candidate scores ``(B + #{theta_i <= theta_cand in G}) / m``;
+    the points below ``v`` and those of ``G`` with a smaller ``theta`` score
+    less, and those of ``G`` with an equal ``theta`` tie.  Scores outside
+    the test cell do not depend on ``y`` and are counted by binary search.
     """
     n = len(training)
     if n < 1:
@@ -366,71 +379,67 @@ def hcps_band(
     if thetas is None:
         if stream is None:
             raise ValueError("hcps_band needs tie-break numbers or a stream")
-        thetas = stream.uniforms(n + 1).tolist()
-    thetas = [float(t) for t in thetas]
+        thetas = stream.uniforms(n + 1)
+    thetas = np.array(thetas, dtype=np.float64).ravel()
     if len(thetas) != n + 1:
         raise ValueError(f"need {n + 1} tie-break numbers, got {len(thetas)}")
-    xq = scalar_predictor(x)
-    xs = [scalar_predictor(o) for o in training]
-    ys = [o.y for o in training]
-    h = h_schedule(n)
-    cells: dict[int, list[int]] = {}
-    for i, xi in enumerate(xs):
-        cells.setdefault(cell_index(xi, h), []).append(i)
-    c_test = cell_index(xq, h)
-
-    # Exact lexicographic rank of each observation among its cell mates
-    # (self excluded): sorted tuple comparison handles response ties via theta.
-    rank = [0] * n
-    for members in cells.values():
-        pairs = sorted((ys[i], thetas[i]) for i in members)
-        for i in members:
-            rank[i] = bisect.bisect_right(pairs, (ys[i], thetas[i])) - 1
-
-    # Scores of observations outside the test cell never involve the
-    # postulated response, so they are constants a/N.  Stored as floats: for
-    # numerators and denominators up to ~1e6 the quotients are far enough
-    # apart that IEEE division preserves both order and equality exactly.
-    out_keys: list[float] = []
-    for cell_id, members in cells.items():
-        if cell_id == c_test:
-            continue
-        n_cell = len(members) - 1
-        for i in members:
-            if n_cell == 0:
-                out_keys.append(1.0 if ys[i] >= 0 else 0.0)
-            else:
-                out_keys.append(rank[i] / n_cell)
-    out_sorted = np.sort(np.asarray(out_keys, dtype=np.float64))
-
-    in_cell = cells.get(c_test, [])
-    m = len(in_cell)
+    cols = as_columns(training)
+    cells, c_test = _cells(cols, x)
+    in_test = cells == c_test
     theta_cand = thetas[n]
-    yc = np.asarray([ys[i] for i in in_cell], dtype=np.float64)
-    tc = np.asarray([thetas[i] for i in in_cell], dtype=np.float64)
-    rc = np.asarray([rank[i] for i in in_cell], dtype=np.int64)
     den = n + 1
 
-    def q01(yq: float) -> tuple[float, float]:
-        if m > 0:
-            # A = in-cell pairs lexicographically <= the candidate's pair;
-            # each in-cell score becomes (rank + flip) / m with flip = 1 when
-            # the candidate's pair is <= that observation's pair.
-            at_y = yc == yq
-            a_cand = int(np.count_nonzero((yc < yq) | (at_y & (tc <= theta_cand))))
-            flips = (yc > yq) | (at_y & (tc >= theta_cand))
-            scores = rc + flips
-            less = int(np.count_nonzero(scores < a_cand))
-            tied = int(np.count_nonzero(scores == a_cand))
-            key = a_cand / m
-        else:
-            less = tied = 0
-            key = 1.0 if yq >= 0 else 0.0
-        lo = int(np.searchsorted(out_sorted, key, side="left"))
-        hi = int(np.searchsorted(out_sorted, key, side="right"))
-        less += lo
-        tied += hi - lo
-        return (less / den, (less + tied + 1) / den)
+    # Scores outside the test cell: the in-cell rank a (cell mates whose
+    # (y, theta) pair is <= one's own) over N = cell size - 1, or the sign
+    # rule when N = 0.  Floats, divided as histogram_score divides them.
+    out = ~in_test
+    c, y, t = cells[out], cols.ys[out], thetas[:n][out]
+    order = np.lexsort((t, y, c))
+    c, y, t = c[order], y[order], t[order]
+    new_cell = np.ones(len(c), dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=new_cell[1:])
+    new_pair = new_cell.copy()
+    new_pair[1:] |= (y[1:] != y[:-1]) | (t[1:] != t[:-1])
+    cell_start = np.flatnonzero(new_cell)
+    cell_of = np.cumsum(new_cell) - 1
+    pair_end = np.concatenate((np.flatnonzero(new_pair)[1:], [len(c)]))
+    rank = pair_end[np.cumsum(new_pair) - 1] - cell_start[cell_of] - 1
+    mates = np.diff(np.concatenate((cell_start, [len(c)])))[cell_of] - 1
+    keys = np.where(
+        mates > 0, rank / np.maximum(mates, 1), np.where(y >= 0, 1.0, 0.0)
+    )
+    out_keys = np.sort(keys)
 
-    jump_candidates = sorted(set(yc.tolist())) if m > 0 else [0.0]
-    return _assemble_band(jump_candidates, q01)
+    def band_values(less, tied, key):
+        lo = np.searchsorted(out_keys, key, side="left")
+        hi = np.searchsorted(out_keys, key, side="right")
+        less = less + lo
+        return less / den, (less + tied + (hi - lo) + 1) / den
+
+    yc, tc = cols.ys[in_test], thetas[:n][in_test]
+    m = len(yc)
+    if m:
+        order = np.argsort(yc, kind="stable")
+        yc, tc = yc[order], tc[order]
+        jumps, below = _group(yc)
+        starts = below[:-1]
+        less_g = np.add.reduceat(tc < theta_cand, starts)
+        tied_g = np.add.reduceat(tc == theta_cand, starts)
+        p0, p1 = band_values(below, 0, below / m)
+        a0, a1 = band_values(starts + less_g, tied_g, (starts + less_g + tied_g) / m)
+    else:
+        # Empty test cell: the candidate scores by the sign rule alone.
+        jumps = np.zeros(1)
+        p0, p1 = band_values(np.zeros(2, dtype=np.int64), 0, np.array([0.0, 1.0]))
+        a0, a1 = band_values(np.zeros(1, dtype=np.int64), 0, np.ones(1))
+    # A jump across which nothing changes merges its two plateaus.
+    keep = ~(
+        (p0[:-1] == p0[1:]) & (p1[:-1] == p1[1:]) & (a0 == p0[1:]) & (a1 == p1[1:])
+    )
+    return PredictiveBand(
+        jumps[keep],
+        np.append(p0[0], p0[1:][keep]),
+        np.append(p1[0], p1[1:][keep]),
+        a0[keep],
+        a1[keep],
+    )

@@ -178,3 +178,57 @@ def test_fixed_tau_policy_parses(capsys):
     code, _ = run(capsys, ["validate", "--system", "dh", "--trials", "150",
                            "--tau", "sometimes"])
     assert code == 1
+
+
+def _csv(tmp_path, text, name="rows.csv", encoding="utf-8"):
+    path = tmp_path / name
+    path.write_text(text, encoding=encoding)
+    return str(path)
+
+
+def test_band_nn_midpoint_near_largest_double(capsys, tmp_path):
+    path = _csv(tmp_path, "x1,y\n0.0,1.7e308\n1.0,1.6e308\n")
+    code, out = run(capsys, ["band", "--system", "nn", "--input", path, "--x", "0.0"])
+    assert code == 0
+    assert json.loads(out)["jumps"] == [1.6e308, 1.7e308]
+
+
+def test_band_build_failure_on_valid_rows_is_data_error(capsys, tmp_path):
+    # the residual crossing 1.7e308 + (-1.7e308 - 1.7e308) overflows
+    path = _csv(tmp_path, "x1,y\n0.0,1.7e308\n1.0,-1.7e308\n")
+    code, _ = run(capsys, ["band", "--system", "nn", "--input", path, "--x", "0.0"])
+    assert code == 2
+    code, _ = run(capsys, ["band", "--system", "nn", "--input", path, "--x", "inf"])
+    assert code == 1  # a bad argument stays a usage error
+
+
+@pytest.mark.parametrize("system", ["hist-mondrian", "hist-conformal", "pfs", "venn"])
+def test_band_predictor_beyond_the_cell_grid_is_data_error(capsys, tmp_path, system):
+    # with n = 8 the cells are 0.5 wide, and 1e308 / 0.5 overflows
+    rows = "".join(f"0.{k},{k}.0\n" for k in range(1, 8))
+    path = _csv(tmp_path, f"x1,y\n{rows}1e308,1.0\n")
+    argv = ["band", "--system", system, "--input", path, "--x", "0.5", "--u", "1.0"]
+    assert run(capsys, argv)[0] == 2
+
+
+def test_band_accepts_utf8_byte_order_mark(capsys, dh_csv, tmp_path):
+    path = _csv(tmp_path, "\ufeffx1,y\n0.0,1.0\n1.0,3.0\n")
+    argv = ["band", "--system", "dh", "--x", "0.5", "--input"]
+    _, plain = run(capsys, argv + [dh_csv])
+    code, out = run(capsys, argv + [path])
+    assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11.5", "1.5\u00a0"])
+def test_band_rejects_fields_outside_plain_decimal(capsys, tmp_path, field):
+    # float() reads each of these; the CSV contract is ASCII '.'-decimal reals
+    path = _csv(tmp_path, f"x1,y\n0.0,1.0\n0.5,{field}\n")
+    code, _ = run(capsys, ["band", "--system", "dh", "--input", path, "--x", "0.5"])
+    assert code == 2
+
+
+def test_band_rejects_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x1,y\n0.0,1.0\n\xe9,2.0\n")
+    code, _ = run(capsys, ["band", "--system", "dh", "--input", str(path), "--x", "0.5"])
+    assert code == 2

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cpskit import (
+    Columns,
     ExtendedObservation,
     Observation,
     PredictiveBand,
@@ -122,6 +124,66 @@ def test_integrate_rejects_non_finite_integrand():
     band = dh_band([1.0, 3.0])
     with pytest.raises(ValueError):
         band.integrate(lambda y: float("nan"))
+    with pytest.raises(ValueError, match="at jump 3.0"):
+        band.integrate(lambda y: np.where(y > 2.0, np.inf, 0.0))
+
+
+def _integrate_by_loop(band, f, tau):
+    """Reference: the per-jump sum in jump order, from 0.0."""
+    total = 0.0
+    for k, yk in enumerate(band.jumps):
+        left = band.lower[k] + tau * (band.upper[k] - band.lower[k])
+        right = band.lower[k + 1] + tau * (band.upper[k + 1] - band.lower[k + 1])
+        total += float(f(yk)) * (right - left)
+    return total
+
+
+def test_integrate_equals_the_per_jump_loop_bit_for_bit():
+    rng = derive_stream(12, [0])
+    clamp = lambda y: np.clip(y, -1.0, 1.0)
+    for _ in range(20):
+        band = dh_band((rng.uniforms(200) * 6.0 - 3.0).tolist())
+        tau = rng.uniform()
+        for f in (clamp, np.cos, lambda y: y * y):
+            assert band.integrate(f, tau) == _integrate_by_loop(band, f, tau)
+
+
+def test_integrate_accepts_scalar_only_integrands():
+    band = dh_band([0.0, 1.0, 2.0])
+    scalar_clamp = lambda y: max(-1.0, min(1.0, y))  # raises on arrays
+    assert band.integrate(math.cos, 0.3) == _integrate_by_loop(band, math.cos, 0.3)
+    assert band.integrate(scalar_clamp) == _integrate_by_loop(band, scalar_clamp, 0.0)
+    assert band.integrate(lambda y: 1.0) == band.integrate(np.ones_like)
+
+
+# --- columns --------------------------------------------------------------
+
+
+def test_columns_round_trip_observations_in_any_dimension():
+    rows = [Observation((0.5, -2.0, 3.0), 1.0), Observation((1e300, 0.0, -0.0), -4.5)]
+    cols = Columns.from_observations(rows)
+    assert cols.xs.shape == (2, 3) and cols.d == 3 and len(cols) == 2
+    assert cols.observations() == rows
+    assert cols.row(1) == rows[1] and cols.head(1).observations() == rows[:1]
+    scalar = Columns([0.25, 0.75], [1.0, 2.0])  # bare predictors mean d = 1
+    assert scalar.d == 1 and scalar.observations()[0] == Observation(0.25, 1.0)
+
+
+def test_columns_are_checked_and_frozen():
+    with pytest.raises(ValueError):
+        Columns([[0.0], [1.0]], [1.0])  # row counts differ
+    with pytest.raises(ValueError):
+        Columns([[0.0, math.nan]], [1.0])
+    with pytest.raises(ValueError):
+        Columns([[0.0]], [math.inf])
+    with pytest.raises(ValueError):
+        Columns(np.zeros((2, 0)), [1.0, 2.0])
+    xs = np.array([[0.0], [1.0]])
+    cols = Columns(xs, [1.0, 2.0])
+    xs[0, 0] = 9.0  # the caller's array is copied, not shared
+    assert cols.xs[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        cols.ys[0] = 5.0
 
 
 # --- structural invariants ------------------------------------------------
@@ -149,6 +211,53 @@ def test_band_validation_catches_violations():
     for case in bad_cases:
         with pytest.raises(ValueError):
             PredictiveBand(**case)
+
+
+def test_band_validation_names_the_first_violation():
+    ok = dict(jumps=(0.0, 1.0), lower=(0.0, 0.25, 0.5), upper=(0.5, 0.75, 1.0),
+              at_jump_lower=(0.0, 0.25), at_jump_upper=(0.75, 1.0))
+    cases = [
+        (dict(ok, jumps=(0.0, math.inf)), "jump locations must be finite"),
+        (dict(ok, jumps=(1.0, 0.0)), "jumps must be strictly increasing"),
+        (dict(ok, upper=(0.5, math.nan, 1.0), lower=(0.0, 2.0, 0.5)), "band value 2.0 outside"),
+        (dict(ok, lower=(0.0, 0.8, 0.5)), "lower plateau exceeds upper plateau"),
+        (dict(ok, at_jump_lower=(0.0, 1.0), at_jump_upper=(0.75, 0.9)),
+         "lower jump value exceeds upper jump value"),
+        (dict(ok, at_jump_lower=(0.0, 0.6)), "lower curve is not monotone at jump 1"),
+        (dict(ok, at_jump_upper=(0.4, 1.0)), "upper curve is not monotone at jump 0"),
+        (dict(ok, lower=(0.1, 0.25, 0.5), at_jump_lower=(0.1, 0.25)),
+         "leftmost lower plateau must be 0"),
+        (dict(ok, upper=(0.5, 0.75, 0.9), at_jump_upper=(0.75, 0.9)),
+         "rightmost upper plateau must be 1"),
+    ]
+    for case, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PredictiveBand(**case)
+
+
+def test_large_band_validation_names_the_same_violations():
+    # from 32 jumps on, array checks run first; a failing band is then
+    # checked invariant by invariant like a small one
+    good = dh_band([float(k) for k in range(40)]).to_dict()
+
+    def changed(*edits):
+        d = {key: list(v) for key, v in good.items()}
+        for name, k, value in zip(edits[::3], edits[1::3], edits[2::3]):
+            d[name][k] = value
+        return d
+
+    cases = [
+        (changed("jumps", 39, math.nan), "jump locations must be finite"),
+        (changed("jumps", 20, 19.0), "jumps must be strictly increasing"),
+        (changed("upper", 7, 1.5), "band value 1.5 outside"),
+        (changed("lower", 7, good["upper"][7] + 1e-9), "lower plateau exceeds upper plateau"),
+        (changed("at_jump_upper", 30, good["upper"][31] + 1e-9), "upper curve is not monotone at jump 30"),
+        (changed("upper", 40, 0.99, "at_jump_upper", 39, 0.99), "rightmost upper plateau must be 1"),
+    ]
+    PredictiveBand.from_dict(good)
+    for case, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PredictiveBand.from_dict(case)
 
 
 def test_band_json_round_trip():

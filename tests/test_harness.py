@@ -34,6 +34,24 @@ def test_sampler_draws_are_reproducible():
         assert a == b
 
 
+def test_sampler_columns_match_the_per_row_maker():
+    for sampler in list(SAMPLERS.values()) + [_ConstantSampler()]:
+        us = derive_stream(34, [0]).uniforms(2 * 50)
+        by_row = [sampler._make(u1, u2) for u1, u2 in zip(us[0::2], us[1::2])]
+        cols = sampler.columns(derive_stream(34, [0]), 50)
+        assert cols.observations() == by_row
+        assert sampler.draw(derive_stream(34, [0]), 50) == by_row
+        assert Sampler._make_columns(sampler, us[0::2], us[1::2]).observations() == by_row
+
+
+def test_conditional_means_are_python_floats():
+    for name, sampler in SAMPLERS.items():
+        for f in TEST_FUNCTIONS.values():
+            assert type(sampler.conditional_mean(f, 0.3)) is float, (name, f.name)
+    rows = consistency_curve("dh", SAMPLERS["p1"], TEST_FUNCTIONS["cos"], [20], 3, 8)
+    assert "np." not in rows_to_csv(("n", "median_discrepancy"), rows)
+
+
 def test_noisy_line_conditional_oracle_against_monte_carlo():
     sampler = SAMPLERS["p1"]
     clamp = TEST_FUNCTIONS["clamp"]

@@ -365,3 +365,40 @@ def test_band_from_pvalue_drops_inactive_candidates():
     pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
     rebuilt = band_from_pvalue([-50.0, 1.0, 50.0], pvalue)
     assert list(rebuilt.jumps) == [1.0]
+
+
+# --- float edges ----------------------------------------------------------------
+
+HUGE = [2.0**54, 3.0, -(2.0**54)]  # beyond 2^53, y +- 1.0 rounds back to y
+
+
+def test_band_from_pvalue_probes_beyond_huge_end_jumps():
+    training = [obs(0.0, y) for y in HUGE]
+    pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
+    assert band_from_pvalue(HUGE, pvalue) == dh_band(HUGE)
+
+
+def test_band_from_pvalue_midpoint_near_largest_double_stays_finite():
+    big = [1.6e308, 1.7e308]  # (a + b) / 2 overflows
+    training = [obs(0.0, y) for y in big]
+    pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
+    assert band_from_pvalue(big, pvalue) == dh_band(big)
+
+
+def test_hcps_band_with_huge_responses_matches_transducer():
+    training = [obs(0.5, y) for y in HUGE]
+    measure = partial(histogram_score, n_for_partition=len(training))
+    for k in range(5):
+        thetas = derive_stream(k, [0]).uniforms(4).tolist()
+        band = hcps_band(training, 0.5, thetas=thetas)
+        for y in HUGE + [math.nextafter(v, s) for v in HUGE for s in (-math.inf, math.inf)]:
+            for tau in (0.0, 1.0):
+                direct = conformal_pvalue(measure, training, obs(0.5, y), tau, thetas=thetas)
+                assert band.evaluate(y, tau) == direct
+
+
+def test_nn_band_midpoints_near_largest_double_stay_finite():
+    training = [obs(0.0, 1.7e308), obs(1.0, 1.6e308)]
+    band = nn_band(training, 0.0, derive_stream(0, [0]))
+    assert all(math.isfinite(j) for j in band.jumps)
+    assert list(band.jumps) == [1.6e308, 1.7e308]
