@@ -16,14 +16,12 @@ from .conformity import (
     nn_score,
     trivial_score,
 )
+from .partition import cell_index, h_schedule, histogram_taxonomy
 from .transducers import (
     band_from_pvalue,
-    cell_index,
     conformal_pvalue,
     dh_band,
-    h_schedule,
     hcps_band,
-    histogram_taxonomy,
     hmps_band,
     mondrian_pvalue,
     nn_band,

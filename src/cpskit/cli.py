@@ -29,8 +29,9 @@ from .harness import (
     pit_sample,
     rows_to_csv,
 )
-from .partition import histogram_taxonomy
-from .transducers import (
+# Unused here: bound because perfbench/tracing.py wraps these names in this module.
+from .partition import histogram_taxonomy  # noqa: F401
+from .transducers import (  # noqa: F401
     dh_band,
     hcps_band,
     hmps_band,
@@ -43,8 +44,6 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 VALIDATION_FAILURE = 3
 
-BAND_SYSTEMS = ("dh", "nn", "hist-mondrian", "hist-conformal", "pfs", "venn")
-SCALAR_SYSTEMS = {"hist-mondrian", "hist-conformal", "pfs", "venn"}
 ONLINE_TOLERANCE = 0.02
 
 
@@ -63,7 +62,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     band = sub.add_parser("band", parents=[], help="emit a predictive band")
-    band.add_argument("--system", required=True, choices=BAND_SYSTEMS)
+    band.add_argument("--system", required=True, choices=tuple(SYSTEMS))
     band.add_argument("--input", required=True, help="training CSV with header x1,...,xd,y")
     band.add_argument("--x", required=True, help="test predictor, comma-separated reals")
     band.add_argument("--u", type=float, default=None,
@@ -179,27 +178,16 @@ def _cmd_band(args) -> int:
         raise ValueError(f"--u must be finite, got {args.u!r}")
     if len(x) != d:
         raise ValueError(f"--x has dimension {len(x)}, training data has {d}")
-    if args.system in SCALAR_SYSTEMS and d != 1:
+    spec = SYSTEMS[args.system]
+    if spec.scalar_only and d != 1:
         raise ValueError(f"system {args.system!r} requires scalar predictors")
-    if args.system == "venn" and args.u is None:
-        raise ValueError("system 'venn' requires --u (postulated response)")
+    if spec.postulated and args.u is None:
+        raise ValueError(f"system {args.system!r} requires --u (postulated response)")
     stream = derive_stream(_seed_of(args), [0])
-    n = len(training)
     # The arguments are valid from here on: a failure to build the band
     # comes from the data, such as crossings or cell numbers that overflow.
     try:
-        if args.system == "dh":
-            band = dh_band(training.ys)
-        elif args.system == "nn":
-            band = nn_band(training.observations(), x, stream)
-        elif args.system == "hist-mondrian":
-            band = hmps_band(training, x)
-        elif args.system == "hist-conformal":
-            band = hcps_band(training, x, thetas=stream.uniforms(n + 1))
-        elif args.system == "pfs":
-            band = pfs_distribution(training, x)
-        else:  # venn
-            band = venn_distribution(histogram_taxonomy, training.observations(), x, args.u)
+        band = spec.band(training, x, stream, None, args.u)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot build the {args.system} band from {args.input}: {exc}") from None
     if args.format == "json":
@@ -214,9 +202,9 @@ def _cmd_validate(args) -> int:
     if args.trials < 100:
         raise ValueError("validate needs --trials >= 100")
     spec = SYSTEMS.get(args.system)
-    if spec is None or spec.pit is None:
+    if spec is None or not spec.uniform_pit:
         raise ValueError(f"system {args.system!r} cannot be validated")
-    if args.online and not spec.conformal:
+    if args.online and not spec.online_valid:
         raise ValueError(
             f"--online applies to conformal systems only, not {args.system!r}"
         )

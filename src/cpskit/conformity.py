@@ -33,7 +33,13 @@ def trivial_score(data: Sequence, candidate, rng: RandomStream | None = None) ->
 
 
 def _sq_dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((u - v) ** 2 for u, v in zip(a, b))
+    # A product, not ``** 2``: libm's pow need not round a square correctly,
+    # and summed left to right, so the vectorized distances of ``nn_band``
+    # equal these bit for bit.
+    total = 0.0
+    for u, v in zip(a, b):
+        total += (u - v) * (u - v)
+    return total
 
 
 def _pick_response(candidates: list[float], rng: RandomStream | None) -> float:

@@ -12,24 +12,23 @@ class-conditional calibration study ``[3, trial]``.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Columns, Observation, PredictiveBand, RandomStream, derive_stream
-from .conformity import histogram_score, nn_score, trivial_score
+# Unused here: bound because perfbench/tracing.py wraps these names in this module.
+from .conformity import histogram_score, nn_score, trivial_score  # noqa: F401
 from .partition import histogram_taxonomy, scalar_predictor
 from .transducers import (
-    conformal_pvalue,
+    conformal_pvalue,  # noqa: F401  unused here, bound for perfbench/tracing.py
     dh_band,
     hcps_band,
     hmps_band,
-    mondrian_pvalue,
+    mondrian_pvalue,  # noqa: F401  unused here, bound for perfbench/tracing.py
     nn_band,
     pfs_distribution,
     venn_distribution,
@@ -50,7 +49,6 @@ __all__ = [
     "marginal_calibration_iid",
     "venn_calibration",
     "VennCalibrationResult",
-    "experiment_summary",
     "rows_to_csv",
 ]
 
@@ -181,81 +179,87 @@ SAMPLERS: dict[str, Sampler] = {
 # Predictive system registry
 
 
-def _pit_dh(training, test, tau, thetas, rng):
-    return conformal_pvalue(trivial_score, training, test, tau)
-
-
-def _pit_nn(training, test, tau, thetas, rng):
-    return conformal_pvalue(nn_score, training, test, tau, rng=rng)
-
-
-def _pit_hist_mondrian(training, test, tau, thetas, rng):
-    return mondrian_pvalue(histogram_taxonomy, trivial_score, training, test, tau)
-
-
-def _pit_hist_conformal(training, test, tau, thetas, rng):
-    measure = partial(histogram_score, n_for_partition=len(training))
-    return conformal_pvalue(measure, training, test, tau, thetas=thetas)
-
-
-def _band_dh(training, x, thetas, stream):
-    return dh_band(training.ys)
-
-
-def _band_nn(training, x, thetas, stream):
-    return nn_band(training.observations(), x, stream)
-
-
-def _band_hist_mondrian(training, x, thetas, stream):
-    return hmps_band(training, x)
-
-
-def _band_hist_conformal(training, x, thetas, stream):
-    return hcps_band(training, x, thetas=thetas)
-
-
-def _band_pfs(training, x, thetas, stream):
-    return pfs_distribution(training, x)
-
-
 @dataclass(frozen=True)
 class PredictiveSystemSpec:
-    """How to evaluate one named predictive system.
+    """One named predictive system: its band builder and the facts callers
+    gate on.
 
-    ``pit(training, test, tau, thetas, rng)`` takes observations;
-    ``band(training, x, thetas, stream)`` takes the training set as Columns.
+    ``band(training, x, stream, thetas, u)`` builds the band at predictor
+    ``x`` from training ``Columns``.  ``thetas`` holds the ``n + 1``
+    tie-break numbers, or None to draw them from ``stream`` when needed;
+    ``stream`` also breaks nearest-neighbour distance ties; ``u`` is the
+    postulated response.  The flags:
+
+    - ``scalar_only``: predictors must be one-dimensional;
+    - ``uniform_pit``: under IID data the band's value at the realized
+      response, ``band.evaluate(y, tau)``, is exactly uniform (rank bands);
+    - ``online_valid``: the transforms of the online protocol are
+      independent (conformal systems);
+    - ``postulated``: the band reads the postulated response ``u``.
     """
 
     name: str
-    conformal: bool
-    scalar_only: bool
-    pit: Callable | None
-    band: Callable[..., PredictiveBand] | None
+    band: Callable[..., PredictiveBand]
+    scalar_only: bool = False
+    uniform_pit: bool = False
+    online_valid: bool = False
+    postulated: bool = False
 
 
+# The builders are looked up in this module's namespace when called, so a
+# wrapper installed on ``harness.<builder>`` sees every band, CLI ones too.
 SYSTEMS: dict[str, PredictiveSystemSpec] = {
-    "dh": PredictiveSystemSpec("dh", True, False, _pit_dh, _band_dh),
-    "nn": PredictiveSystemSpec("nn", True, False, _pit_nn, _band_nn),
-    "hist-mondrian": PredictiveSystemSpec(
-        "hist-mondrian", False, True, _pit_hist_mondrian, _band_hist_mondrian
-    ),
-    "hist-conformal": PredictiveSystemSpec(
-        "hist-conformal", True, True, _pit_hist_conformal, _band_hist_conformal
-    ),
-    "pfs": PredictiveSystemSpec("pfs", False, True, None, _band_pfs),
+    spec.name: spec
+    for spec in (
+        PredictiveSystemSpec(
+            "dh", lambda tr, x, st, th, u: dh_band(tr.ys),
+            uniform_pit=True, online_valid=True,
+        ),
+        PredictiveSystemSpec(
+            "nn", lambda tr, x, st, th, u: nn_band(tr, x, st),
+            uniform_pit=True, online_valid=True,
+        ),
+        PredictiveSystemSpec(
+            "hist-mondrian", lambda tr, x, st, th, u: hmps_band(tr, x),
+            scalar_only=True, uniform_pit=True,
+        ),
+        PredictiveSystemSpec(
+            "hist-conformal", lambda tr, x, st, th, u: hcps_band(tr, x, th, st),
+            scalar_only=True, uniform_pit=True, online_valid=True,
+        ),
+        PredictiveSystemSpec(
+            "pfs", lambda tr, x, st, th, u: pfs_distribution(tr, x),
+            scalar_only=True,
+        ),
+        PredictiveSystemSpec(
+            "venn",
+            lambda tr, x, st, th, u: venn_distribution(
+                histogram_taxonomy, tr.observations(), x, u
+            ),
+            scalar_only=True, postulated=True,
+        ),
+    )
 }
 
 
-def _system(system_id: str, need_pit: bool = False) -> PredictiveSystemSpec:
+def _system(system_id: str) -> PredictiveSystemSpec:
     try:
-        spec = SYSTEMS[system_id]
+        return SYSTEMS[system_id]
     except KeyError:
         raise ValueError(
-            f"unknown system {system_id!r}; choose from {sorted(SYSTEMS)}"
+            f"unknown system {system_id!r}; choose from {list(SYSTEMS)}"
         ) from None
-    if need_pit and spec.pit is None:
-        raise ValueError(f"system {system_id!r} does not define a randomized p-value")
-    return spec
+
+
+def _trial(spec, sampler, n, stream, tau):
+    """``n + 1`` rows, their tie-break numbers, then tau (unless fixed), all
+    from ``stream``; returns the band at the last row's predictor, built
+    from the first ``n``, with the last row and tau."""
+    cols = sampler.columns(stream, n + 1)
+    thetas = stream.uniforms(n + 1)
+    tau = stream.uniform() if tau is None else float(tau)
+    test = cols.row(n)
+    return spec.band(cols.head(n), test.x, stream, thetas, None), test, tau
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +277,22 @@ def pit_sample(
     """Probability transforms of the realized response over fresh trials.
 
     Per trial ``t`` a stream at path ``[0, t]`` draws ``n + 1`` observations,
-    the tie-break numbers, and tau (unless fixed), and the system's p-value is
-    evaluated at the realized test response.  Under the sampler's IID law the
-    returned values are exactly uniform on [0, 1].
+    the tie-break numbers, and tau (unless fixed); the transform is the
+    system's band at the realized test response, ``band.evaluate(y, tau)``.
+    Under the sampler's IID law the returned values are exactly uniform on
+    [0, 1].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = _system(system, need_pit=True)
+    spec = _system(system)
+    if not spec.uniform_pit:
+        raise ValueError(f"system {system!r} does not define a randomized p-value")
     out = []
     for t in range(trials):
-        st = derive_stream(master_seed, [0, t])
-        obs = sampler.draw(st, n + 1)
-        thetas = st.uniforms(n + 1).tolist()
-        tau_t = st.uniform() if tau is None else float(tau)
-        out.append(spec.pit(obs[:n], obs[n], tau_t, thetas, st))
+        band, test, tau_t = _trial(spec, sampler, n, derive_stream(master_seed, [0, t]), tau)
+        out.append(band.evaluate(test.y, tau_t))
     return out
 
 
@@ -325,36 +329,35 @@ def online_coverage(
         raise ValueError("steps must be >= 1")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    spec = _system(system, need_pit=True)
-    if not spec.conformal:
+    spec = _system(system)
+    if not spec.online_valid:
         raise ValueError(
             f"online validity is only claimed for conformal systems, not {system!r}"
         )
     st = derive_stream(seed, [1])
-    obs = sampler.draw(st, steps + 1)
-    thetas = st.uniforms(steps + 1).tolist()
+    cols = sampler.columns(st, steps + 1)
+    thetas = st.uniforms(steps + 1)
     taus = st.uniforms(steps)
     lo_edge, hi_edge = epsilon / 2.0, 1.0 - epsilon / 2.0
     covered = 0
     if system == "dh":
-        # Ranks against a growing sorted list; identical counts to the
-        # generic transducer at a fraction of the cost.
+        # Ranks against a growing sorted list give the dh band's value at
+        # the new response in O(log n) a step; a band per step would make
+        # 10^4 steps O(n^2 log n).
+        ys = cols.ys.tolist()
         sorted_ys: list[float] = []
         for n in range(1, steps + 1):
-            if n == 1:
-                sorted_ys.append(obs[0].y)
-            else:
-                bisect.insort(sorted_ys, obs[n - 1].y)
-            y_new = obs[n].y
-            less = bisect.bisect_left(sorted_ys, y_new)
-            tied = bisect.bisect_right(sorted_ys, y_new) - less + 1
+            bisect.insort(sorted_ys, ys[n - 1])
+            less = bisect.bisect_left(sorted_ys, ys[n])
+            tied = bisect.bisect_right(sorted_ys, ys[n]) - less + 1
             pit = (less + taus[n - 1] * tied) / (n + 1)
             if lo_edge <= pit <= hi_edge:
                 covered += 1
     else:
         for n in range(1, steps + 1):
-            pit = spec.pit(obs[:n], obs[n], float(taus[n - 1]), thetas[: n + 1], st)
-            if lo_edge <= pit <= hi_edge:
+            test = cols.row(n)
+            band = spec.band(cols.head(n), test.x, st, thetas[: n + 1], None)
+            if lo_edge <= band.evaluate(test.y, float(taus[n - 1])) <= hi_edge:
                 covered += 1
     return covered / steps
 
@@ -382,8 +385,8 @@ def consistency_curve(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spec = _system(system)
-    if spec.band is None:
-        raise ValueError(f"system {system!r} does not build predictive bands")
+    if spec.postulated:
+        raise ValueError(f"system {system!r} needs a postulated response")
     # Fail fast on a missing oracle before burning trials.
     sampler.conditional_mean(f, 0.5)
     rows: list[tuple[int, float]] = []
@@ -392,12 +395,7 @@ def consistency_curve(
             raise ValueError("all training sizes must be >= 1")
         gaps = []
         for t in range(trials):
-            st = derive_stream(seed, [2, j, t])
-            cols = sampler.columns(st, n + 1)
-            thetas = st.uniforms(n + 1)
-            tau_t = st.uniform() if tau is None else float(tau)
-            test = cols.row(n)
-            band = spec.band(cols.head(n), test.x, thetas, st)
+            band, test, tau_t = _trial(spec, sampler, n, derive_stream(seed, [2, j, t]), tau)
             value = band.integrate(f.fn, tau_t)
             target = sampler.conditional_mean(f, scalar_predictor(test))
             gaps.append(abs(value - target))
@@ -538,11 +536,6 @@ def venn_calibration(
 
 # ---------------------------------------------------------------------------
 # Result emission
-
-
-def experiment_summary(statistic: float, threshold: float, passed: bool) -> str:
-    """JSON summary with the stable {statistic, threshold, pass} shape."""
-    return json.dumps({"statistic": statistic, "threshold": threshold, "pass": passed})
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:

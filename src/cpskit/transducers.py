@@ -26,20 +26,10 @@ from .core import (
     RandomStream,
     as_columns,
 )
-from .conformity import _pick_response, _sq_dist
-from .partition import (
-    cell_index,
-    cell_indices,
-    h_schedule,
-    histogram_taxonomy,
-    scalar_column,
-    scalar_predictor,
-)
+from .conformity import _pick_response
+from .partition import cell_indices, h_schedule, scalar_column, scalar_predictor
 
 __all__ = [
-    "h_schedule",
-    "cell_index",
-    "histogram_taxonomy",
     "conformal_pvalue",
     "mondrian_pvalue",
     "band_from_pvalue",
@@ -78,6 +68,7 @@ def conformal_pvalue(
     tau: float,
     thetas: Sequence[float] | None = None,
     rng: RandomStream | None = None,
+    taxonomy=None,
 ) -> float:
     """Randomized rank p-value of ``candidate`` against ``training``.
 
@@ -86,50 +77,23 @@ def conformal_pvalue(
     is computed against the full training sequence.  Returns
     ``(#below + tau * #tied) / (n + 1)`` where the tie count always includes
     the candidate itself, so the value is strictly increasing in ``tau``.
+
+    With a ``taxonomy`` (the Mondrian variant), which maps the length
+    ``n + 1`` observation sequence to labels, only indices sharing the
+    candidate's label enter the counts, and the denominator is the class
+    size plus one.  For the result to define a predictive system the
+    taxonomy must not read responses.
     """
     n = len(training)
     if n < 1:
         raise ValueError("conformal_pvalue requires at least one training observation")
     tau = _check_tau(tau)
-    seq, cand = _extend(training, candidate, thetas)
-    kwargs = {} if rng is None else {"rng": rng}
-    cand_score = measure(seq, cand, **kwargs)
-    less = 0
-    tied = 1
-    for i in range(n):
-        score = measure(seq[:i] + seq[i + 1 :] + [cand], seq[i], **kwargs)
-        if score < cand_score:
-            less += 1
-        elif score == cand_score:
-            tied += 1
-    return (less + tau * tied) / (n + 1)
-
-
-def mondrian_pvalue(
-    taxonomy,
-    measure,
-    training: Sequence[Observation],
-    candidate: Observation,
-    tau: float,
-    thetas: Sequence[float] | None = None,
-    rng: RandomStream | None = None,
-) -> float:
-    """Rank p-value restricted to the candidate's taxonomy class.
-
-    ``taxonomy`` maps the length ``n + 1`` observation sequence to labels;
-    only indices sharing the last label enter the counts, so the denominator
-    is the class size (always >= 1: the candidate is in its own class).  For
-    the result to define a predictive system the taxonomy must not read
-    responses.
-    """
-    n = len(training)
-    if n < 1:
-        raise ValueError("mondrian_pvalue requires at least one training observation")
-    tau = _check_tau(tau)
-    labels = taxonomy(list(training) + [candidate])
-    if len(labels) != n + 1:
-        raise ValueError("taxonomy must label all n + 1 observations")
-    members = [i for i in range(n) if labels[i] == labels[n]]
+    members = range(n)
+    if taxonomy is not None:
+        labels = taxonomy(list(training) + [candidate])
+        if len(labels) != n + 1:
+            raise ValueError("taxonomy must label all n + 1 observations")
+        members = [i for i in members if labels[i] == labels[n]]
     seq, cand = _extend(training, candidate, thetas)
     kwargs = {} if rng is None else {"rng": rng}
     cand_score = measure(seq, cand, **kwargs)
@@ -142,6 +106,19 @@ def mondrian_pvalue(
         elif score == cand_score:
             tied += 1
     return (less + tau * tied) / (len(members) + 1)
+
+
+def mondrian_pvalue(
+    taxonomy,
+    measure,
+    training: Sequence[Observation],
+    candidate: Observation,
+    tau: float,
+    thetas: Sequence[float] | None = None,
+    rng: RandomStream | None = None,
+) -> float:
+    """``conformal_pvalue`` restricted to the candidate's taxonomy class."""
+    return conformal_pvalue(measure, training, candidate, tau, thetas, rng, taxonomy)
 
 
 def _group(values) -> tuple[np.ndarray, np.ndarray]:
@@ -208,11 +185,26 @@ def dh_band(responses) -> PredictiveBand:
     return _rank_band(responses)
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and the rows of ``b``.
+
+    Summed over columns left to right, as ``_sq_dist`` sums them, so that
+    distances equal there are equal here.
+    """
+    out = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        out += diff * diff
+    return out
+
+
+# The distance matrix is built in row blocks of about 2**20 entries (8 MB),
+# so that memory does not grow as n**2.
+_NN_BLOCK_DISTANCES = 1 << 20
+
+
 def nn_band(
-    training: Sequence[Observation],
-    x,
-    stream: RandomStream,
-    metric: Callable[[Sequence[float], Sequence[float]], float] | None = None,
+    training: Sequence[Observation] | Columns, x, stream: RandomStream
 ) -> PredictiveBand:
     """Predictive band of the nearest-neighbour residual system at ``x``.
 
@@ -222,34 +214,39 @@ def nn_band(
     nearest-neighbour estimate at ``x``; for the rest it is that estimate
     shifted by their own nearest-neighbour residual.  Distance ties are
     broken uniformly via ``stream`` (estimate first, then residuals in index
-    order).
+    order), and ``stream`` is drawn from only at a tie.  Agrees with
+    ``conformal_pvalue(nn_score, ...)`` at every ``(y, tau)`` off the jumps.
     """
-    n = len(training)
-    if n < 1:
+    if len(training) < 1:
         raise ValueError("nn_band requires at least one training observation")
-    xq = Observation(x, 0.0).x
-    dist = _sq_dist if metric is None else metric
-    to_test = [dist(o.x, xq) for o in training]
-    dmin = min(to_test)
-    y_hat = _pick_response(
-        [o.y for o, d in zip(training, to_test) if d == dmin], stream
-    )
-    crossings: list[float] = []
-    for i, obs in enumerate(training):
-        others = [dist(obs.x, training[j].x) for j in range(n) if j != i]
-        min_other = min(others) if others else float("inf")
-        if to_test[i] < min_other:
-            # Halving first keeps the midpoint finite for any two finite
-            # responses; halving normal doubles is exact, so elsewhere this
-            # equals (y_hat + y) / 2.
-            crossings.append(y_hat / 2.0 + obs.y / 2.0)
-        else:
-            nearby = [
-                training[j].y
-                for j in range(n)
-                if j != i and dist(obs.x, training[j].x) == min_other
-            ]
-            crossings.append(y_hat + (obs.y - _pick_response(nearby, stream)))
+    cols = as_columns(training)
+    xs, ys, n = cols.xs, cols.ys, len(cols)
+    xq = np.array(Observation(x, 0.0).x)
+    if len(xq) != cols.d:
+        raise ValueError(f"x has dimension {len(xq)}, training predictors have {cols.d}")
+    to_test = _sq_dists(xs, xq[None, :])[:, 0]
+    y_hat = _pick_response(ys[to_test == to_test.min()].tolist(), stream)
+    crossings = np.empty(n)
+    block = max(1, _NN_BLOCK_DISTANCES // n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dist = _sq_dists(xs[lo:hi], xs)
+        rows = np.arange(hi - lo)
+        dist[rows, rows + lo] = np.inf  # a point is not its own neighbour
+        min_other = dist.min(axis=1)
+        y = ys[lo:hi]
+        # Halving first keeps the midpoint finite for any two finite
+        # responses; halving normal doubles is exact, so elsewhere this
+        # equals (y_hat + y) / 2.
+        crossings[lo:hi] = y_hat / 2.0 + y / 2.0
+        # Rows no nearer to x than to another training point: residual crossings.
+        far = np.flatnonzero(to_test[lo:hi] >= min_other)
+        nearest = dist[far] == min_other[far, None]
+        y_nn = ys[nearest.argmax(axis=1)]
+        for k in np.flatnonzero(nearest.sum(axis=1) > 1):
+            y_nn[k] = _pick_response(ys[nearest[k]].tolist(), stream)
+        with np.errstate(over="ignore"):  # an infinite crossing fails validation
+            crossings[lo + far] = y_hat + (y[far] - y_nn)
     return _rank_band(crossings)
 
 

@@ -135,6 +135,16 @@ def test_validate_unknown_system_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["consistency", "--system", "venn", "--ns", "10", "--trials", "2"],
+    ["validate", "--system", "pfs", "--trials", "200"],
+    ["validate", "--system", "nonesuch", "--trials", "200"],
+])
+def test_system_without_the_needed_property_is_usage_error(capsys, argv):
+    code, _ = run(capsys, argv)
+    assert code == 1
+
+
 def test_consistency_single_row(capsys):
     code, out = run(capsys, ["consistency", "--system", "hist-mondrian", "--sampler", "p1",
                              "--function", "clamp", "--ns", "100", "--trials", "10",

@@ -1,6 +1,5 @@
 """Samplers, validity statistics, consistency curves, and exact demos."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from cpskit import (
     pit_sample,
     venn_calibration,
 )
-from cpskit.harness import Sampler, experiment_summary, rows_to_csv
+from cpskit.harness import SYSTEMS, Sampler, rows_to_csv
 
 
 # --- samplers ----------------------------------------------------------------
@@ -126,6 +125,21 @@ def test_online_coverage_rejects_non_conformal():
         online_coverage("hist-mondrian", SAMPLERS["p1"], 100, 0.1, 5)
 
 
+def test_online_coverage_dh_fast_path_matches_the_registry_band():
+    # The online protocol rebuilt step by step from the registry's dh band.
+    p1, steps, epsilon, seed = SAMPLERS["p1"], 500, 0.2, 12
+    st = derive_stream(seed, [1])
+    cols = p1.columns(st, steps + 1)
+    thetas = st.uniforms(steps + 1)
+    taus = st.uniforms(steps)
+    covered = 0
+    for n in range(1, steps + 1):
+        test = cols.row(n)
+        band = SYSTEMS["dh"].band(cols.head(n), test.x, st, thetas[: n + 1], None)
+        covered += epsilon / 2 <= band.evaluate(test.y, float(taus[n - 1])) <= 1 - epsilon / 2
+    assert online_coverage("dh", p1, steps, epsilon, seed) == covered / steps
+
+
 def test_online_coverage_generic_path_matches_fast_path_scale():
     p1 = SAMPLERS["p1"]
     for system in ("nn", "hist-conformal"):
@@ -220,11 +234,6 @@ def test_venn_calibration_binary_rows():
 
 
 # --- emission helpers ---------------------------------------------------------------
-
-
-def test_experiment_summary_shape():
-    doc = json.loads(experiment_summary(0.01, 0.02, True))
-    assert doc == {"statistic": 0.01, "threshold": 0.02, "pass": True}
 
 
 def test_rows_to_csv_is_deterministic():

@@ -5,7 +5,9 @@ predictors, tied or extreme tie-break numbers, empty test cells and
 magnitudes up to 1e300.  Every band must equal its oracle exactly at each
 training response, at the doubles next to it and between neighbours, keep
 its structural invariants, and survive a JSON round trip byte for byte.
-Runs are derandomized, so the examples are the same on every run.
+The nearest-neighbour band, whose jumps are rounded crossings, is compared
+off its jumps.  Runs are derandomized, so the examples are the same on every
+run.
 """
 
 import bisect
@@ -14,7 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpskit import (
@@ -22,15 +24,19 @@ from cpskit import (
     Observation,
     PredictiveBand,
     conformal_pvalue,
+    derive_stream,
     dh_band,
     hcps_band,
     histogram_score,
     histogram_taxonomy,
     hmps_band,
     mondrian_pvalue,
+    nn_band,
+    nn_score,
     pfs_distribution,
     trivial_score,
 )
+from cpskit.conformity import _sq_dist
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -143,6 +149,99 @@ def test_pfs_distribution_is_the_in_cell_ecdf(problem):
     pool = in_cell(training, xq) or [0.0]
     recount = lambda y, tau: sum(1 for v in pool if v <= y) / len(pool)
     assert_matches(band, recount, queries(training) + [0.0])
+
+
+@st.composite
+def nn_problems(draw, max_n=10):
+    """(training, test predictor) in dimension 1 to 3, all pairwise distances
+    distinct, so that no nearest-neighbour choice needs a tie-break."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
+    point = st.tuples(*[st.floats(-3.0, 3.0)] * d)
+    xs = draw(st.lists(point, min_size=n, max_size=n))
+    xq = draw(point)
+    pts = xs + [xq]
+    dists = [_sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+    assume(len(set(dists)) == len(dists))
+    ys = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, -3.5]), st.floats(-4.0, 4.0)),
+                       min_size=n, max_size=n))
+    return [Observation(x, y) for x, y in zip(xs, ys)], xq
+
+
+def off_jumps(band):
+    """Points beyond the end jumps and midway between jumps far enough apart
+    that rounding in the oracle's residuals cannot reach them."""
+    js = band.jumps
+    out = [js[0] - abs(js[0]) - 1.0, js[-1] + abs(js[-1]) + 1.0]
+    out += [a / 2.0 + b / 2.0 for a, b in zip(js, js[1:])
+            if b - a > 1e-9 * max(1.0, abs(a), abs(b))]
+    return out
+
+
+@SETTINGS
+@given(nn_problems())
+def test_nn_band_matches_transducer_off_the_jumps(problem):
+    training, xq = problem
+    stream = derive_stream(0, [0])
+    band = nn_band(training, xq, stream)
+    assert stream.draws == 0
+    assert_invariants(band)
+    assert band == nn_band(Columns.from_observations(training), xq, stream)
+    pvalue = lambda y, tau: conformal_pvalue(nn_score, training, Observation(xq, y), tau)
+    assert_matches(band, pvalue, off_jumps(band))
+
+
+# Distance ties draw from the stream, the estimate's first, then each
+# residual's in index order: bands and draw counts pinned on tie-heavy input.
+_GRID_D2 = [((float(i), float(j)), float((3 * i + j) % 4)) for i in range(3) for j in range(3)]
+NN_PINNED = {
+    "duplicated_predictors": (
+        [(0.5, 1.0), (0.5, 2.0), (0.5, 1.0), (0.25, 0.0), (0.75, 3.0), (0.75, 3.0)], 0.5, 11, 5,
+        '{"jumps": [0.0, 1.0, 2.0, 3.0], '
+        '"lower": [0.0, 0.14285714285714285, 0.2857142857142857, 0.7142857142857143, '
+        '0.8571428571428571], '
+        '"upper": [0.14285714285714285, 0.2857142857142857, 0.42857142857142855, '
+        '0.8571428571428571, 1.0], '
+        '"at_jump_lower": [0.0, 0.14285714285714285, 0.2857142857142857, 0.7142857142857143], '
+        '"at_jump_upper": [0.2857142857142857, 0.42857142857142855, 0.8571428571428571, 1.0]}',
+    ),
+    "equidistant_d1": (
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 4.0), (3.0, 9.0), (4.0, 16.0)], 2.5, 12, 2,
+        '{"jumps": [6.0, 6.5, 8.0, 9.0, 16.0], '
+        '"lower": [0.0, 0.16666666666666666, 0.3333333333333333, 0.5, 0.6666666666666666, '
+        '0.8333333333333334], '
+        '"upper": [0.16666666666666666, 0.3333333333333333, 0.5, 0.6666666666666666, '
+        '0.8333333333333334, 1.0], '
+        '"at_jump_lower": [0.0, 0.16666666666666666, 0.3333333333333333, 0.5, '
+        '0.6666666666666666], '
+        '"at_jump_upper": [0.3333333333333333, 0.5, 0.6666666666666666, 0.8333333333333334, '
+        '1.0]}',
+    ),
+    "equidistant_d2": (
+        _GRID_D2, (0.5, 0.0), 13, 8,
+        '{"jumps": [0.0, 1.5, 2.0, 3.0, 4.0, 6.0], '
+        '"lower": [0.0, 0.1, 0.2, 0.4, 0.5, 0.8, 0.9], '
+        '"upper": [0.1, 0.2, 0.3, 0.5, 0.6, 0.9, 1.0], '
+        '"at_jump_lower": [0.0, 0.1, 0.2, 0.4, 0.5, 0.8], '
+        '"at_jump_upper": [0.2, 0.3, 0.5, 0.6, 0.9, 1.0]}',
+    ),
+    "tied_responses_d2": (
+        [((0.0, 0.0), 1.0), ((0.0, 0.0), 1.0), ((1.0, 1.0), 2.0), ((1.0, 1.0), 2.0),
+         ((0.0, 2.0), 1.0), ((2.0, 0.0), 2.0), ((2.0, 2.0), 1.0)], (1.0, 1.0), 14, 4,
+        '{"jumps": [1.0, 2.0], "lower": [0.0, 0.25, 0.875], "upper": [0.125, 0.375, 1.0], '
+        '"at_jump_lower": [0.0, 0.25], "at_jump_upper": [0.375, 1.0]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NN_PINNED))
+def test_nn_band_tie_breaks_are_pinned(case):
+    rows, xq, seed, draws, text = NN_PINNED[case]
+    training = [Observation(x, y) for x, y in rows]
+    for data in (training, Columns.from_observations(training)):
+        stream = derive_stream(seed, [0])
+        assert nn_band(data, xq, stream).to_json() == text
+        assert stream.draws == draws
 
 
 @SETTINGS

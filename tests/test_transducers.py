@@ -216,6 +216,23 @@ def test_nn_band_matches_transducer_on_random_data():
             assert abs(band.evaluate(y, tau) - direct) < TOL
 
 
+def test_nn_band_row_blocks_give_the_same_band_and_draws(monkeypatch):
+    import cpskit.transducers as transducers
+
+    training = [obs((float(i % 4), float(i // 4 % 3)), float(i % 5)) for i in range(30)]
+    whole = derive_stream(15, [0])
+    expected = nn_band(training, (1.5, 1.0), whole)
+    monkeypatch.setattr(transducers, "_NN_BLOCK_DISTANCES", 70)  # blocks of 2 rows
+    blocked = derive_stream(15, [0])
+    assert nn_band(training, (1.5, 1.0), blocked) == expected
+    assert blocked.draws == whole.draws > 1
+
+
+def test_nn_band_rejects_a_test_predictor_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        nn_band([obs((0.0, 1.0), 2.0)], 0.5, derive_stream(0, [0]))
+
+
 # --- cell-conditional rank band ----------------------------------------------
 
 
