@@ -116,6 +116,15 @@ def _parse_tau(text: str) -> float | None:
     raise ValueError(f"tau policy must be 'random' or 'fixed:<v>', got {text!r}")
 
 
+def _csv_rows(path: str, text: str):
+    """The CSV rows of ``text``; a malformed row, such as one with a field
+    longer than the csv module's limit, is a data error."""
+    try:
+        yield from csv.reader(io.StringIO(text, newline=""))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_training(path: str) -> Columns:
     """Training rows of a CSV file with header ``x1,...,xd,y``.
 
@@ -131,7 +140,7 @@ def _read_training(path: str) -> Columns:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_rows(path, text)
     try:
         header = next(reader)
     except StopIteration:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import RandomStream
 from .partition import cell_index, h_schedule, scalar_predictor
@@ -56,23 +56,17 @@ def _pick_response(candidates: list[float], rng: RandomStream | None) -> float:
     return ys[min(int(rng.uniform() * len(ys)), len(ys) - 1)]
 
 
-def nn_score(
-    data: Sequence,
-    candidate,
-    rng: RandomStream | None = None,
-    metric: Callable[[Sequence[float], Sequence[float]], float] | None = None,
-) -> float:
+def nn_score(data: Sequence, candidate, rng: RandomStream | None = None) -> float:
     """Residual of the candidate against its nearest neighbour's response.
 
-    Returns ``candidate.y - y_j`` where ``x_j`` minimizes the metric distance
-    to ``candidate.x`` over ``data``; distance ties are broken uniformly using
-    ``rng``.  The default metric is Euclidean (compared via squared distances,
-    which keeps exact ties exact).
+    Returns ``candidate.y - y_j`` where ``x_j`` minimizes the Euclidean
+    distance to ``candidate.x`` over ``data``; distance ties are broken
+    uniformly using ``rng``.  Distances are compared squared, which keeps
+    exact ties exact.
     """
     if not data:
         raise ValueError("nn_score requires nonempty comparison data")
-    dist = _sq_dist if metric is None else metric
-    dists = [dist(o.x, candidate.x) for o in data]
+    dists = [_sq_dist(o.x, candidate.x) for o in data]
     dmin = min(dists)
     nearest = [o.y for o, d in zip(data, dists) if d == dmin]
     return float(candidate.y) - _pick_response(nearest, rng)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -87,22 +88,16 @@ class Sampler:
 
     ``columns`` and ``draw`` consume exactly two uniforms per observation,
     ``(u1, u2)`` for row ``i`` being draws ``2i`` and ``2i + 1``.  Subclasses
-    define ``_make(u1, u2)`` for one row and may define the vectorized
-    ``_make_columns(u1, u2)``, which must give the same rows; the base class
-    builds columns from ``_make`` row by row.  Subclasses with a closed-form
-    conditional oracle implement ``conditional_mean``.
+    define their law once, as ``_make_columns(u1, u2)`` over the two uniform
+    arrays.  Subclasses with a closed-form conditional oracle implement
+    ``conditional_mean``.
     """
 
     name: str = "base"
     binary: bool = False
 
-    def _make(self, u1: float, u2: float) -> Observation:
-        raise NotImplementedError
-
     def _make_columns(self, u1: np.ndarray, u2: np.ndarray) -> Columns:
-        return Columns.from_observations(
-            [self._make(a, b) for a, b in zip(u1.tolist(), u2.tolist())]
-        )
+        raise NotImplementedError
 
     def columns(self, stream: RandomStream, k: int) -> Columns:
         """``k`` observations in column form."""
@@ -122,10 +117,6 @@ class NoisyLineSampler(Sampler):
 
     name = "p1"
 
-    def _make(self, u1, u2):
-        nu = -1.0 if u2 < 0.5 else 1.0
-        return Observation(float(u1), 2.0 * float(u1) + nu)
-
     def _make_columns(self, u1, u2):
         return Columns(u1, 2.0 * u1 + np.where(u2 < 0.5, -1.0, 1.0))
 
@@ -138,9 +129,6 @@ class IndependentSampler(Sampler):
 
     name = "p2"
     _integrals = {"clamp": 0.5, "cos": math.sin(1.0)}
-
-    def _make(self, u1, u2):
-        return Observation(float(u1), float(u2))
 
     def _make_columns(self, u1, u2):
         return Columns(u1, u2)
@@ -159,9 +147,6 @@ class BernoulliSampler(Sampler):
 
     name = "p3"
     binary = True
-
-    def _make(self, u1, u2):
-        return Observation(float(u1), 1.0 if u2 < u1 else 0.0)
 
     def _make_columns(self, u1, u2):
         return Columns(u1, np.where(u2 < u1, 1.0, 0.0))
@@ -350,7 +335,10 @@ def online_coverage(
             bisect.insort(sorted_ys, ys[n - 1])
             less = bisect.bisect_left(sorted_ys, ys[n])
             tied = bisect.bisect_right(sorted_ys, ys[n]) - less + 1
-            pit = (less + taus[n - 1] * tied) / (n + 1)
+            # The band's own arithmetic (_rank_band, then evaluate), so the
+            # transform equals the registry band's to the last bit.
+            lo, hi = less / (n + 1), (less + tied) / (n + 1)
+            pit = lo + float(taus[n - 1]) * (hi - lo)
             if lo_edge <= pit <= hi_edge:
                 covered += 1
     else:
@@ -399,10 +387,7 @@ def consistency_curve(
             value = band.integrate(f.fn, tau_t)
             target = sampler.conditional_mean(f, scalar_predictor(test))
             gaps.append(abs(value - target))
-        gaps.sort()
-        mid = len(gaps) // 2
-        median = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0
-        rows.append((int(n), median))
+        rows.append((int(n), statistics.median(gaps)))
     return rows
 
 

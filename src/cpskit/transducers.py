@@ -260,10 +260,7 @@ def hmps_band(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
     """
     if len(training) < 1:
         raise ValueError("hmps_band requires at least one training observation")
-    in_cell = _in_cell_responses(training, x)
-    if not len(in_cell):
-        return PredictiveBand((), (0.0,), (1.0,), (), ())
-    return _rank_band(in_cell)
+    return _rank_band(_in_cell_responses(training, x))
 
 
 def pfs_distribution(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
@@ -369,6 +366,14 @@ def hcps_band(
     the points below ``v`` and those of ``G`` with a smaller ``theta`` score
     less, and those of ``G`` with an equal ``theta`` tie.  Scores outside
     the test cell do not depend on ``y`` and are counted by binary search.
+
+    Score keys are the doubles ``a / N``, compared as floats, and they
+    compare exactly as the rationals do.  Integer division is correctly
+    rounded, so equal rationals (``1/2`` and ``2/4``) give the same double.
+    Distinct ones with denominators at most ``2**26`` differ by at least
+    ``2**-52``, more than the spacing of doubles in ``[0, 1]``, so they
+    round to distinct doubles in the same order.  ``histogram_score``
+    divides the same integers the same way, and ``N <= n``.
     """
     n = len(training)
     if n < 1:

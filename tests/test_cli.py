@@ -1,8 +1,12 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpskit.cli import main
 
@@ -242,3 +246,83 @@ def test_band_rejects_non_utf8_file(capsys, tmp_path):
     path.write_bytes(b"x1,y\n0.0,1.0\n\xe9,2.0\n")
     code, _ = run(capsys, ["band", "--system", "dh", "--input", str(path), "--x", "0.5"])
     assert code == 2
+
+
+# --- exit-code fuzz: derandomized, so the examples are the same on every run --
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# Each puts a file outside the grammar: a header other than x1,...,xd,y, or a
+# field that is not a finite plain ASCII '.'-decimal real (the last is longer
+# than the csv module's field limit).
+BAD_HEADERS = ["", "y", "x1", "x0,y", "x2,y", "y,x1", "x1,x2", "X1,y", "x1,y,z", "x1;y"]
+BAD_FIELDS = ["", "zap", "1.2.3", "0x10", "--1", "1e", "inf", "-inf", "nan", "1e999",
+              "1_0", "\u0661", "\uff11.5", "1.5\u00a0", "1" * 140_000]
+
+
+@st.composite
+def training_files(draw):
+    """(file bytes, d, the responses when the file follows the grammar, else None)."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(finite, min_size=d + 1, max_size=d + 1),
+                         min_size=1, max_size=5))
+    lines = [",".join([f"x{i}" for i in range(1, d + 1)] + ["y"])]
+    lines += [",".join(repr(v) for v in row) for row in rows]
+    kind = draw(st.sampled_from(
+        ["valid", "valid", "header", "field", "short row", "long row", "no rows", "empty",
+         "not utf-8"]))
+    i = draw(st.integers(1, len(rows)))
+    if kind == "header":
+        lines[0] = draw(st.sampled_from(BAD_HEADERS))
+    elif kind == "field":
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, d))] = draw(st.sampled_from(BAD_FIELDS))
+        lines[i] = ",".join(fields)
+    elif kind == "short row":
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    elif kind == "long row":
+        lines[i] += "," + repr(draw(finite))
+    elif kind == "no rows":
+        lines = lines[:1]
+    elif kind == "empty":
+        lines = []
+    if lines and draw(st.booleans()):  # blank lines are skipped
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    if kind == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, d, [row[-1] for row in rows] if kind == "valid" else None
+
+
+def bad_xs(d):
+    return st.sampled_from([",".join(["0.5"] * (d + 1)), ",".join(["0.5"] * (d - 1)),
+                            "zap", "inf", "-inf", "nan", "1e999", "0.5;0.5", "0.5,"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(training_files(), st.data())
+def test_band_exit_codes_fuzz(fuzz_dir, case, data):
+    body, d, ys = case
+    path = fuzz_dir / "train.csv"
+    path.write_bytes(body)
+    good_x = ",".join(repr(v) for v in data.draw(st.lists(finite, min_size=d, max_size=d)))
+    for x, want in ((good_x, 0), (data.draw(bad_xs(d)), 1)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["band", "--system", "dh", "--input", str(path), f"--x={x}"])
+        if ys is None:
+            assert code == 2, x
+        else:
+            assert code == want, x
+            if want == 0:
+                assert json.loads(out.getvalue())["jumps"] == sorted(set(ys))

@@ -69,12 +69,6 @@ def test_nn_score_tie_break_is_uniform():
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
-def test_nn_score_custom_metric():
-    metric = lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1])
-    data = [obs((0.0, 0.0), 3.0), obs((5.0, 5.0), -1.0)]
-    assert nn_score(data, obs((1.0, 0.0), 0.0), metric=metric) == -3.0
-
-
 # --- histogram rank -------------------------------------------------------
 
 

@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cpskit import (
+    Columns,
     Observation,
     SAMPLERS,
     TEST_FUNCTIONS,
@@ -33,14 +35,22 @@ def test_sampler_draws_are_reproducible():
         assert a == b
 
 
+# Each sampler's law written out for one row from its uniform pair (u1, u2).
+ROW_LAWS = {
+    "p1": lambda u1, u2: Observation(u1, 2.0 * u1 + (-1.0 if u2 < 0.5 else 1.0)),
+    "p2": lambda u1, u2: Observation(u1, u2),
+    "p3": lambda u1, u2: Observation(u1, 1.0 if u2 < u1 else 0.0),
+    "const": lambda u1, u2: Observation(u1, 2.5),
+}
+
+
 def test_sampler_columns_match_the_per_row_maker():
+    us = derive_stream(34, [0]).uniforms(2 * 50).tolist()
     for sampler in list(SAMPLERS.values()) + [_ConstantSampler()]:
-        us = derive_stream(34, [0]).uniforms(2 * 50)
-        by_row = [sampler._make(u1, u2) for u1, u2 in zip(us[0::2], us[1::2])]
-        cols = sampler.columns(derive_stream(34, [0]), 50)
-        assert cols.observations() == by_row
+        law = ROW_LAWS[sampler.name]
+        by_row = [law(u1, u2) for u1, u2 in zip(us[0::2], us[1::2])]
+        assert sampler.columns(derive_stream(34, [0]), 50).observations() == by_row
         assert sampler.draw(derive_stream(34, [0]), 50) == by_row
-        assert Sampler._make_columns(sampler, us[0::2], us[1::2]).observations() == by_row
 
 
 def test_conditional_means_are_python_floats():
@@ -127,17 +137,23 @@ def test_online_coverage_rejects_non_conformal():
 
 def test_online_coverage_dh_fast_path_matches_the_registry_band():
     # The online protocol rebuilt step by step from the registry's dh band.
-    p1, steps, epsilon, seed = SAMPLERS["p1"], 500, 0.2, 12
+    p1, steps, seed = SAMPLERS["p1"], 500, 12
     st = derive_stream(seed, [1])
     cols = p1.columns(st, steps + 1)
     thetas = st.uniforms(steps + 1)
     taus = st.uniforms(steps)
-    covered = 0
+    pits = []
     for n in range(1, steps + 1):
         test = cols.row(n)
         band = SYSTEMS["dh"].band(cols.head(n), test.x, st, thetas[: n + 1], None)
-        covered += epsilon / 2 <= band.evaluate(test.y, float(taus[n - 1])) <= 1 - epsilon / 2
-    assert online_coverage("dh", p1, steps, epsilon, seed) == covered / steps
+        pits.append(band.evaluate(test.y, float(taus[n - 1])))
+    # Besides 0.2, epsilons that put an interval edge exactly on a transform
+    # (the halving and 1 - p are exact), where a last-bit difference from
+    # the band's value changes the coverage.
+    epsilons = [0.2] + [2 * p if p < 0.5 else 2 * (1 - p) for p in pits[::8]]
+    for epsilon in epsilons:
+        covered = sum(epsilon / 2 <= p <= 1 - epsilon / 2 for p in pits)
+        assert online_coverage("dh", p1, steps, epsilon, seed) == covered / steps, epsilon
 
 
 def test_online_coverage_generic_path_matches_fast_path_scale():
@@ -208,8 +224,8 @@ class _ConstantSampler(Sampler):
     name = "const"
     binary = False
 
-    def _make(self, u1, u2):
-        return Observation(float(u1), 2.5)
+    def _make_columns(self, u1, u2):
+        return Columns(u1, np.full(len(u1), 2.5))
 
     def conditional_mean(self, f, x):
         return f.fn(2.5)

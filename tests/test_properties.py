@@ -6,8 +6,8 @@ magnitudes up to 1e300.  Every band must equal its oracle exactly at each
 training response, at the doubles next to it and between neighbours, keep
 its structural invariants, and survive a JSON round trip byte for byte.
 The nearest-neighbour band, whose jumps are rounded crossings, is compared
-off its jumps.  Runs are derandomized, so the examples are the same on every
-run.
+off its jumps; the forecaster and Venn distributions against an ECDF
+recount.  Runs are derandomized, so the examples are the same on every run.
 """
 
 import bisect
@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpskit import (
+    SYSTEMS,
     Columns,
     Observation,
     PredictiveBand,
@@ -35,6 +36,7 @@ from cpskit import (
     nn_score,
     pfs_distribution,
     trivial_score,
+    venn_distribution,
 )
 from cpskit.conformity import _sq_dist
 
@@ -149,6 +151,20 @@ def test_pfs_distribution_is_the_in_cell_ecdf(problem):
     pool = in_cell(training, xq) or [0.0]
     recount = lambda y, tau: sum(1 for v in pool if v <= y) / len(pool)
     assert_matches(band, recount, queries(training) + [0.0])
+
+
+@SETTINGS
+@given(problems(), responses)
+def test_venn_distribution_is_the_class_ecdf(problem, u):
+    training, xq, _ = problem
+    band = venn_distribution(histogram_taxonomy, training, xq, u)
+    assert_invariants(band)
+    assert band.is_distribution_function()
+    cols = Columns.from_observations(training)
+    assert band == SYSTEMS["venn"].band(cols, xq, derive_stream(0, [0]), None, u)
+    pool = in_cell(training, xq) + [u]
+    recount = lambda y, tau: sum(1 for v in pool if v <= y) / len(pool)
+    assert_matches(band, recount, queries(training + [Observation(xq, u)]))
 
 
 @st.composite

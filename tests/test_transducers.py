@@ -313,6 +313,22 @@ def test_hcps_band_matches_transducer():
             assert abs(band.evaluate(y, tau) - direct) < TOL
 
 
+def test_hcps_band_keys_with_different_denominators_tie():
+    # n = 14, cells 1/2 wide: 2 points share the test cell, so a candidate
+    # between them scores 1/2; out-of-cell keys 1/2 (a cell of 3) and 2/4
+    # (a cell of 5) tie with it, and 1/3 (a cell of 4) does not.
+    xs = [0.1, 0.2] + [0.6, 0.7, 0.8] + [1.1, 1.2, 1.3, 1.4, 1.45] + [1.6, 1.7, 1.8, 1.9]
+    training = [obs(x, float(k % 5)) for k, x in enumerate(xs)]
+    thetas = [(k + 1) / 16 for k in range(15)]
+    band = hcps_band(training, 0.25, thetas=thetas)
+    measure = partial(histogram_score, n_for_partition=len(training))
+    assert (band.evaluate(0.5, 0.0), band.evaluate(0.5, 1.0)) == (6 / 15, 9 / 15)
+    for y in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        for tau in (0.0, 1.0):
+            direct = conformal_pvalue(measure, training, obs(0.25, y), tau, thetas=thetas)
+            assert band.evaluate(y, tau) == direct
+
+
 def test_hcps_band_needs_randomness_source():
     with pytest.raises(ValueError):
         hcps_band([obs(0.0, 1.0)], 0.5)
