@@ -8,13 +8,13 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import re
 import sys
+
+import numpy as np
 
 from .core import Columns, derive_stream
 from .harness import (
@@ -116,22 +116,19 @@ def _parse_tau(text: str) -> float | None:
     raise ValueError(f"tau policy must be 'random' or 'fixed:<v>', got {text!r}")
 
 
-def _csv_rows(path: str, text: str):
-    """The CSV rows of ``text``; a malformed row, such as one with a field
-    longer than the csv module's limit, is a data error."""
-    try:
-        yield from csv.reader(io.StringIO(text, newline=""))
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
+# The csv module's default field size limit: a longer field is a data error.
+_FIELD_LIMIT = 131072
 
 
 def _read_training(path: str) -> Columns:
     """Training rows of a CSV file with header ``x1,...,xd,y``.
 
-    Fields are plain ASCII reals with a ``.`` decimal point.  ``float``
-    also reads digit-group underscores and non-ASCII digits, so a file
-    holding either is rejected before parsing.  A UTF-8 byte-order mark
-    is skipped.
+    Fields are plain ASCII reals with a ``.`` decimal point, without
+    quoting.  ``float`` also reads digit-group underscores and non-ASCII
+    digits, so data rows holding either are rejected.  Lines end in CR LF,
+    CR or LF; blank lines and a UTF-8 byte-order mark are skipped.  All
+    rows are checked and converted at once; the rows of a rejected file are
+    rechecked one by one to name the first bad line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -140,38 +137,39 @@ def _read_training(path: str) -> Columns:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    reader = _csv_rows(path, text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
+    if not text:
+        raise DataError(f"{path}: empty file")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    raw = lines[0].split(",") if lines[0] else []
+    header = [h.strip() for h in raw]
     expected = [f"x{i}" for i in range(1, len(header))] + ["y"]
-    if len(header) < 2 or header != expected:
+    if len(header) < 2 or header != expected or max(map(len, raw)) > _FIELD_LIMIT:
         raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
-    plain = text.isascii() and "_" not in text
     d = len(header) - 1
-    xs, ys = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != d + 1:
-            raise DataError(f"{path}:{lineno}: expected {d + 1} fields")
-        if not plain:
-            for v in row:
-                if not v.isascii() or "_" in v:
-                    raise DataError(f"{path}:{lineno}: {v!r} is not a plain decimal real")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise DataError(f"{path}:{lineno}: non-finite value")
-        xs.append(vals[:d])
-        ys.append(vals[d])
-    if not ys:
+    rows = lines[1:] if lines[-1] else lines[1:-1]
+    if "" in rows:
+        rows = [r for r in rows if r]
+    table = _table(rows, d) if rows else None
+    if table is None:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line and _table([line], d) is None:
+                raise DataError(f"{path}:{lineno}: need {d + 1} finite plain decimal reals")
         raise DataError(f"{path}: no data rows")
-    return Columns(xs, ys)
+    return Columns(table[:, :d], table[:, d])
+
+
+def _table(rows: list[str], d: int):
+    """The rows as an ``(n, d + 1)`` float64 array, or None if one is bad."""
+    body = ",".join(rows)
+    fields = body.split(",")
+    plain = body.isascii() and "_" not in body and '"' not in body
+    if not plain or any(r.count(",") != d for r in rows) or max(map(len, fields)) > _FIELD_LIMIT:
+        return None
+    try:
+        values = np.array(list(map(float, fields)))
+    except ValueError:
+        return None
+    return values.reshape(-1, d + 1) if np.isfinite(values).all() else None
 
 
 def _cmd_band(args) -> int:

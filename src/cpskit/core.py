@@ -343,7 +343,21 @@ class PredictiveBand:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """``json.dumps(self.to_dict())``, byte for byte.
+
+        A rank band of ``m`` jumps has about ``m`` distinct values among its
+        ``4m + 2`` value entries, so each distinct value is formatted once,
+        keyed by its float64 bits (``-0.0`` and ``0.0`` stay apart).
+        """
+        values = self._arrays[1:]
+        keys, where = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
+        distinct = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+        texts = list(map(distinct.__getitem__, where.tolist()))
+        fields, start = [json.dumps(self.jumps)], 0
+        for a in values:
+            fields.append("[" + ", ".join(texts[start : start + len(a)]) + "]")
+            start += len(a)
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in zip(_BAND_FIELDS, fields)) + "}"
 
     @classmethod
     def from_json(cls, s: str) -> "PredictiveBand":

@@ -218,9 +218,7 @@ SYSTEMS: dict[str, PredictiveSystemSpec] = {
         ),
         PredictiveSystemSpec(
             "venn",
-            lambda tr, x, st, th, u: venn_distribution(
-                histogram_taxonomy, tr.observations(), x, u
-            ),
+            lambda tr, x, st, th, u: venn_distribution(histogram_taxonomy, tr, x, u),
             scalar_only=True, postulated=True,
         ),
     )

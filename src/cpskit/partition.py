@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import Columns
+
 __all__ = [
     "h_schedule",
     "cell_index",
@@ -77,16 +79,19 @@ def scalar_predictor(item) -> float:
     return float(x[0])
 
 
-def histogram_taxonomy(xs: Sequence) -> list[int]:
+def histogram_taxonomy(xs: Sequence | Columns) -> list[int] | np.ndarray:
     """Cell labels for a sequence of ``n + 1`` scalar predictors.
 
-    Items may be bare scalars or observations.  The partition width is
-    ``h_schedule(len(xs) - 1)``; equal label means same cell.  Labels depend
-    only on predictors, never on responses, and permuting ``xs`` permutes the
-    labels identically.
+    Items may be bare scalars or observations; ``Columns`` are labelled in
+    one ``cell_indices`` call, as an array of integral floats.  The
+    partition width is ``h_schedule(len(xs) - 1)``; equal label means same
+    cell.  Labels depend only on predictors, never on responses, and
+    permuting ``xs`` permutes the labels identically.
     """
     n = len(xs) - 1
     if n < 1:
         raise ValueError("taxonomy needs at least 2 items (n >= 1)")
     h = h_schedule(n)
+    if isinstance(xs, Columns):
+        return cell_indices(scalar_column(xs), h)
     return [cell_index(scalar_predictor(x), h) for x in xs]

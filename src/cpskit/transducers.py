@@ -276,7 +276,7 @@ def pfs_distribution(training: Sequence[Observation] | Columns, x) -> Predictive
 
 
 def venn_distribution(
-    taxonomy, training: Sequence[Observation], x, u: float
+    taxonomy, training: Sequence[Observation] | Columns, x, u: float
 ) -> PredictiveBand:
     """Distribution function of class responses under postulated response ``u``.
 
@@ -284,18 +284,24 @@ def venn_distribution(
     and the empirical distribution of the responses in that class (including
     ``u`` itself) returned.  For response-blind taxonomies the class is the
     same for every ``u``, and distribution functions for different ``u``
-    differ by at most ``1 / class size`` pointwise.
+    differ by at most ``1 / class size`` pointwise.  With ``Columns`` the
+    taxonomy labels the ``n + 1`` rows as ``Columns``, as
+    ``histogram_taxonomy`` does.
     """
     n = len(training)
     if n < 1:
         raise ValueError("venn_distribution requires at least one training observation")
     test = Observation(x, u)
-    seq = list(training) + [test]
+    if isinstance(training, Columns):
+        seq = Columns(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
+    else:
+        seq = list(training) + [test]
     labels = taxonomy(seq)
     if len(labels) != n + 1:
         raise ValueError("taxonomy must label all n + 1 observations")
-    class_responses = [o.y for o, lab in zip(seq, labels) if lab == labels[n]]
-    return _ecdf_band(class_responses)
+    if isinstance(seq, Columns):
+        return _ecdf_band(seq.ys[np.asarray(labels) == labels[n]])
+    return _ecdf_band([o.y for o, lab in zip(seq, labels) if lab == labels[n]])
 
 
 def band_from_pvalue(

@@ -1,14 +1,18 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpskit.cli import main
+from cpskit.cli import DataError, _read_training, main
+from cpskit.core import Columns
 
 
 @pytest.fixture
@@ -241,6 +245,14 @@ def test_band_rejects_fields_outside_plain_decimal(capsys, tmp_path, field):
     assert code == 2
 
 
+@pytest.mark.parametrize("row", ['1.0,"2"0', '"1.0",2.0'])
+def test_band_rejects_quote_characters(capsys, tmp_path, row):
+    # the csv module read '1.0,"2"0' as y = 20.0; the grammar has no quoting
+    path = _csv(tmp_path, f"x1,y\n0.0,1.0\n{row}\n")
+    code, _ = run(capsys, ["band", "--system", "dh", "--input", path, "--x", "0.5"])
+    assert code == 2
+
+
 def test_band_rejects_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"x1,y\n0.0,1.0\n\xe9,2.0\n")
@@ -255,11 +267,11 @@ FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 # Each puts a file outside the grammar: a header other than x1,...,xd,y, or a
-# field that is not a finite plain ASCII '.'-decimal real (the last is longer
-# than the csv module's field limit).
+# field that is not a finite plain ASCII '.'-decimal real (quoted fields are
+# outside it; the last is longer than the csv module's field limit).
 BAD_HEADERS = ["", "y", "x1", "x0,y", "x2,y", "y,x1", "x1,x2", "X1,y", "x1,y,z", "x1;y"]
 BAD_FIELDS = ["", "zap", "1.2.3", "0x10", "--1", "1e", "inf", "-inf", "nan", "1e999",
-              "1_0", "\u0661", "\uff11.5", "1.5\u00a0", "1" * 140_000]
+              "1_0", "\u0661", "\uff11.5", "1.5\u00a0", '"2"0', '"1.0"', "1" * 140_000]
 
 
 @st.composite
@@ -326,3 +338,174 @@ def test_band_exit_codes_fuzz(fuzz_dir, case, data):
             assert code == want, x
             if want == 0:
                 assert json.loads(out.getvalue())["jumps"] == sorted(set(ys))
+
+
+# --- reader parity: the csv-module reader this one replaced, as the oracle ----
+
+
+def _csv_rows(path: str, text: str):
+    """The CSV rows of ``text``; a malformed row, such as one with a field
+    longer than the csv module's limit, is a data error."""
+    try:
+        yield from csv.reader(io.StringIO(text, newline=""))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _oracle_read_training(path: str) -> Columns:
+    """Training rows of a CSV file with header ``x1,...,xd,y``.
+
+    Fields are plain ASCII reals with a ``.`` decimal point.  ``float``
+    also reads digit-group underscores and non-ASCII digits, so a file
+    holding either is rejected before parsing.  A UTF-8 byte-order mark
+    is skipped.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = _csv_rows(path, text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    expected = [f"x{i}" for i in range(1, len(header))] + ["y"]
+    if len(header) < 2 or header != expected:
+        raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
+    plain = text.isascii() and "_" not in text
+    d = len(header) - 1
+    xs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise DataError(f"{path}:{lineno}: expected {d + 1} fields")
+        if not plain:
+            for v in row:
+                if not v.isascii() or "_" in v:
+                    raise DataError(f"{path}:{lineno}: {v!r} is not a plain decimal real")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        xs.append(vals[:d])
+        ys.append(vals[d])
+    if not ys:
+        raise DataError(f"{path}: no data rows")
+    return Columns(xs, ys)
+
+
+# Fields float() reads as finite reals (some after stripping whitespace),
+# then fields outside the grammar.  The long fields and the last two header
+# names straddle the csv module's field limit of 131072 characters.
+GOOD_FIELDS = ["+1", ".5", "5.", "1e5", "-0", "-0.0", " 1.5", "2.5 ", "\t3", "\x0c4\x1f",
+               "1e-320", "0" * 131071 + "1", " " * 131071 + "1"]
+OTHER_FIELDS = ["1e999", "-1e999", "nan", "inf", "", " ", "zap", "0x10", "1_0", "\u0661",
+                "1.5\u00a0", "\x00", "0" * 131072 + "1", "1" + " " * 131072]
+GOOD_NAMES = ["x1", " x1", "x1 ", "\tx1", "x1\u00a0", " " * 131070 + "x1"]
+OTHER_NAMES = ["X1", "x1" + " " * 131071]
+
+
+@st.composite
+def parity_files(draw):
+    """File bytes that keep to the grammar through line-level
+    irregularities, and half the time break it in one place."""
+    d = draw(st.integers(1, 3))
+    lines = [[draw(st.sampled_from(GOOD_NAMES))] + [f"x{i}" for i in range(2, d + 1)] + ["y"]]
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row", "row", "field", "blank"])) if k else "row"
+        row = [repr(v) for v in draw(st.lists(finite, min_size=d + 1, max_size=d + 1))]
+        if kind == "field":
+            row[draw(st.integers(0, d))] = draw(st.sampled_from(GOOD_FIELDS))
+        lines.append([] if kind == "blank" else row)
+    fault = draw(st.sampled_from(
+        [None] * 6 + ["field", "header", "spaces", "short", "long", "no rows"]))
+    row = lines[draw(st.sampled_from([i for i, line in enumerate(lines) if i and line]))]
+    if fault == "field":
+        row[draw(st.integers(0, d))] = draw(st.sampled_from(OTHER_FIELDS))
+    elif fault == "header":
+        lines[0][0] = draw(st.sampled_from(OTHER_NAMES))
+    elif fault == "spaces":
+        lines.insert(draw(st.integers(1, len(lines))), ["   "])
+    elif fault == "short":
+        row.pop()
+    elif fault == "long":
+        row.append("1.0")
+    elif fault == "no rows":
+        lines = lines[:1] + [[]] * draw(st.integers(0, 2))
+    eols = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(",".join(line) + draw(eols) for line in lines[:-1]) + ",".join(lines[-1])
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+
+
+def _outcome(reader, path):
+    try:
+        cols = reader(path)
+    except DataError:
+        return None
+    return cols.xs.shape, cols.xs.tobytes(), cols.ys.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parity_files())
+def test_reader_matches_the_csv_module_reader(fuzz_dir, body):
+    path = str(fuzz_dir / "parity.csv")
+    with open(path, "wb") as fh:
+        fh.write(body)
+    assert _outcome(_read_training, path) == _outcome(_oracle_read_training, path)
+
+
+def test_reader_reports_the_bad_line(tmp_path):
+    path = _csv(tmp_path, "x1,y\r\n0.0,1.0\r\n\r\n0.5,zap\r\n")
+    with pytest.raises(DataError, match=r"\.csv:4: need 2 finite"):
+        _read_training(path)
+    path = _csv(tmp_path, "x1,y\n0.0,1.0\r0.5,\"2\"\n")
+    with pytest.raises(DataError, match=r"\.csv:3: need 2 finite"):
+        _read_training(path)
+
+
+# --- golden digests: any change to the bytes `cpskit band` writes shows here ---
+
+
+def _golden_file(d):
+    """200 rows from integer arithmetic alone: repeated predictors, tied responses."""
+    lines = [",".join([f"x{i}" for i in range(1, d + 1)] + ["y"])]
+    for k in range(200):
+        xs = [((37 * k) % 160) / 160, ((53 * k) % 97) / 97][:d]
+        y = 2.0 * xs[0] + ((k * k) % 7 - 3) / 2
+        lines.append(",".join(repr(v) for v in xs + [y]))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the JSON and CSV outputs at seeds 0, 7 and 123, in that order.
+GOLDEN = {
+    ("dh", 1): "7292bd433938b5f766275ddd462c776f7fe0e1491f72b8ca92fbc39dfa0e658b",
+    ("nn", 1): "02d3d0e8cb8022bdd975fc48bb8ba94a5095798439e56581d4f03ff86b79216b",
+    ("hist-mondrian", 1): "ba05a7ec23fd3dcab2fbcef8a0a0a7335eb50ce6391864622171cddfffc33a6b",
+    ("hist-conformal", 1): "5732dd5926beda76d4a4b7d343c996785c34b5294352b47be1ae825da5f8536f",
+    ("pfs", 1): "0c410d598282ea1ecc49724a5f2a7c8474f93f37077e7018bb0f87b796e3ba9b",
+    ("venn", 1): "87eefdbc2aee98edf23ba6d5515884ef6f0c0fef8bc118796418250c352a9aef",
+    ("dh", 2): "7292bd433938b5f766275ddd462c776f7fe0e1491f72b8ca92fbc39dfa0e658b",
+    ("nn", 2): "b5516ab85e731f2606b88808879529528e6cd1f54b4c6bd7050905b246ba795c",
+}
+
+
+@pytest.mark.parametrize("system, d", sorted(GOLDEN))
+def test_band_output_bytes_are_pinned(capsys, tmp_path, system, d):
+    path = _csv(tmp_path, _golden_file(d))
+    digest = hashlib.sha256()
+    for seed in (0, 7, 123):
+        for fmt in ("json", "csv"):
+            code, out = run(capsys, ["band", "--system", system, "--input", path,
+                                     "--x", ",".join(["0.3"] * d), "--u", "1.0",
+                                     "--seed", str(seed), "--format", fmt])
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN[system, d]

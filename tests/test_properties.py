@@ -11,6 +11,7 @@ recount.  Runs are derandomized, so the examples are the same on every run.
 """
 
 import bisect
+import json
 import math
 from functools import partial
 
@@ -93,6 +94,7 @@ def assert_invariants(band):
     band.validate()
     assert band.lower[0] == 0.0 and band.upper[-1] == 1.0
     text = band.to_json()
+    assert text == json.dumps(band.to_dict())
     again = PredictiveBand.from_json(text)
     assert again == band and again.to_json() == text
 
@@ -162,9 +164,35 @@ def test_venn_distribution_is_the_class_ecdf(problem, u):
     assert band.is_distribution_function()
     cols = Columns.from_observations(training)
     assert band == SYSTEMS["venn"].band(cols, xq, derive_stream(0, [0]), None, u)
+    seq = training + [Observation(xq, u)]
+    assert histogram_taxonomy(Columns.from_observations(seq)).tolist() == histogram_taxonomy(seq)
     pool = in_cell(training, xq) + [u]
     recount = lambda y, tau: sum(1 for v in pool if v <= y) / len(pool)
     assert_matches(band, recount, queries(training + [Observation(xq, u)]))
+
+
+# to_json formats each distinct value once, keyed by its bits: pinned on
+# signed zeros, on a band with no jumps, and on a 10^4-jump band.
+_SIGNED_ZEROS = ('{"jumps": [-0.0, 1.0], "lower": [-0.0, 0.5, 1.0], "upper": [0.0, 0.5, 1.0], '
+                 '"at_jump_lower": [0.0, 0.5], "at_jump_upper": [0.5, 1.0]}')
+TO_JSON_PINNED = {
+    "signed_zeros": lambda: PredictiveBand.from_json(_SIGNED_ZEROS),
+    "no_jumps": lambda: hmps_band([Observation(0.1, 1.0)], 3.0),
+    "dh_10k": lambda: dh_band(np.random.default_rng(0).random(10_000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TO_JSON_PINNED))
+def test_to_json_is_json_dumps_of_to_dict(case):
+    band = TO_JSON_PINNED[case]()
+    assert_invariants(band)
+    text = band.to_json()
+    if case == "signed_zeros":
+        assert text == _SIGNED_ZEROS
+    elif case == "no_jumps":
+        assert band.jumps == () and text.startswith('{"jumps": [], "lower": [0.0]')
+    else:
+        assert len(band.jumps) == 10_000
 
 
 @st.composite
