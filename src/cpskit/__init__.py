@@ -18,7 +18,6 @@ from .conformity import (
 )
 from .partition import cell_index, h_schedule, histogram_taxonomy
 from .transducers import (
-    band_from_pvalue,
     conformal_pvalue,
     dh_band,
     hcps_band,
@@ -63,7 +62,6 @@ __all__ = [
     "histogram_taxonomy",
     "conformal_pvalue",
     "mondrian_pvalue",
-    "band_from_pvalue",
     "dh_band",
     "nn_band",
     "hmps_band",

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and then reused."""
     parser = _Parser(prog="cpskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -197,11 +200,7 @@ def _cmd_band(args) -> int:
         band = spec.band(training, x, stream, None, args.u)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot build the {args.system} band from {args.input}: {exc}") from None
-    if args.format == "json":
-        print(band.to_json())
-    else:
-        rows = list(zip(band.jumps, band.at_jump_lower, band.at_jump_upper))
-        sys.stdout.write(rows_to_csv(("y", "lower", "upper"), rows))
+    sys.stdout.write(band.to_json() + "\n" if args.format == "json" else band.to_csv())
     return 0
 
 

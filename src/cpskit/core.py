@@ -12,7 +12,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,11 +170,20 @@ def as_columns(training) -> Columns:
 
 
 _BAND_FIELDS = ("jumps", "lower", "upper", "at_jump_lower", "at_jump_upper")
-# Bands with at least this many jumps are validated by array checks first.
-_ARRAY_CHECKS_FROM = 32
 
 
-@dataclass(frozen=True)
+def _reprs(*values: np.ndarray) -> list[list[str]]:
+    """``repr`` of every entry of each array, one list per array.  A rank
+    band of ``m`` jumps has about ``m`` distinct values among its ``4m + 2``
+    value entries, so each is formatted once, keyed by its float64 bits
+    (``-0.0`` and ``0.0`` stay apart)."""
+    keys, where = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
+    distinct = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+    texts = list(map(distinct.__getitem__, where.tolist()))
+    bounds = np.cumsum([0] + [len(a) for a in values]).tolist()
+    return [texts[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class PredictiveBand:
     """Piecewise-constant lower/upper distribution-function pair.
 
@@ -185,45 +195,88 @@ class PredictiveBand:
     ``at_jump_upper`` hold the values at the jump locations themselves, which
     may be wider than the adjacent plateaus.
 
+    The band is stored as ``arrays``, the five fields in that order as
+    read-only float64 arrays, copied from the arguments.  The attributes of
+    the same names are tuple views of them, built on first access.
+    Equality and hashing compare values, so ``-0.0`` equals ``0.0``.
+
     Construction validates all structural invariants: values in [0, 1],
     ``lower <= upper`` pointwise, monotonicity in ``y`` of both curves, and
     extreme plateaus 0 and 1.
     """
 
-    jumps: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    at_jump_lower: tuple[float, ...]
-    at_jump_upper: tuple[float, ...]
-    # Frozen float64 copies of the five fields, for the vectorized checks
-    # and integrals; not part of equality, hashing or the repr.
-    _arrays: tuple[np.ndarray, ...] = field(
-        init=False, repr=False, compare=False, default=()
+    jumps, lower, upper, at_jump_lower, at_jump_upper = (
+        cached_property(lambda band, k=k: tuple(band.arrays[k].tolist())) for k in range(5)
     )
 
-    def __post_init__(self) -> None:
-        arrays = tuple(_frozen(getattr(self, name)) for name in _BAND_FIELDS)
+    def __init__(self, jumps, lower, upper, at_jump_lower, at_jump_upper):
+        arrays = tuple(map(_frozen, (jumps, lower, upper, at_jump_lower, at_jump_upper)))
         if any(a.ndim != 1 for a in arrays):
             raise ValueError("band fields must be one-dimensional sequences")
-        for name, a in zip(_BAND_FIELDS, arrays):
-            object.__setattr__(self, name, tuple(a.tolist()))
-        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "arrays", arrays)
         self.validate()
+
+    @classmethod
+    def _adopt(cls, *arrays: np.ndarray) -> "PredictiveBand":
+        """The band of a builder's own fresh 1-D float64 arrays, frozen, not copied."""
+        for a in arrays:
+            a.flags.writeable = False
+        band = object.__new__(cls)
+        object.__setattr__(band, "arrays", arrays)
+        band.validate()
+        return band
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PredictiveBand is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PredictiveBand is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self.arrays, other.arrays))
+
+    def __hash__(self):
+        # Adding 0.0 turns -0.0 into 0.0, so equal bands hash equal bytes.
+        return hash(tuple((a + 0.0).tobytes() for a in self.arrays))
+
+    def __repr__(self):
+        views = ", ".join(f"{k}={getattr(self, k)!r}" for k in _BAND_FIELDS)
+        return f"PredictiveBand({views})"
+
+    def __reduce__(self):
+        return PredictiveBand, self.arrays
 
     def validate(self) -> None:
         """Re-check every structural invariant; raises ValueError on failure.
 
-        A band with many jumps is accepted by one round of array checks.  A
-        small band, where numpy's cost per call outweighs the loops, and a
-        band that fails the array checks are checked invariant by invariant,
-        which names the first violation.
+        One round of array checks accepts a valid band.  A band that fails
+        them is checked invariant by invariant, which names the first
+        violation.
         """
-        m = len(self.jumps)
-        if len(self.lower) != m + 1 or len(self.upper) != m + 1:
+        jumps, lower, upper, ajl, aju = self.arrays
+        m = len(jumps)
+        if len(lower) != m + 1 or len(upper) != m + 1:
             raise ValueError("plateau lists must have len(jumps) + 1 entries")
-        if len(self.at_jump_lower) != m or len(self.at_jump_upper) != m:
+        if len(ajl) != m or len(aju) != m:
             raise ValueError("at-jump lists must have len(jumps) entries")
-        if m >= _ARRAY_CHECKS_FROM and self._passes_array_checks():
+        # Q_0 and Q_1 along the response axis: plateau, jump value, plateau, ...
+        curves = np.empty((2, 2 * m + 1))
+        curves[0, 0::2], curves[1, 0::2] = lower, upper
+        curves[0, 1::2], curves[1, 1::2] = ajl, aju
+        # Strictly increasing jumps with finite ends are all finite; min and
+        # max are NaN if any value is.
+        if (
+            (m == 0 or math.isfinite(jumps[0]) and math.isfinite(jumps[-1]))
+            and (jumps[1:] > jumps[:-1]).all()
+            and curves.min() >= -VALUE_TOL
+            and curves.max() <= 1.0 + VALUE_TOL
+            and (curves[0] <= curves[1] + VALUE_TOL).all()
+            and (curves[:, :-1] <= curves[:, 1:] + VALUE_TOL).all()
+            and abs(lower[0]) <= VALUE_TOL
+            and abs(upper[-1] - 1.0) <= VALUE_TOL
+        ):
             return
         for j in self.jumps:
             if not math.isfinite(j):
@@ -244,7 +297,7 @@ class PredictiveBand:
             (self.lower, self.at_jump_lower, "lower"),
             (self.upper, self.at_jump_upper, "upper"),
         ):
-            for k in range(m):
+            for k in range(len(at_jumps)):
                 if plats[k] > at_jumps[k] + VALUE_TOL or at_jumps[k] > plats[k + 1] + VALUE_TOL:
                     raise ValueError(f"{label} curve is not monotone at jump {k}")
         if abs(self.lower[0]) > VALUE_TOL:
@@ -252,36 +305,17 @@ class PredictiveBand:
         if abs(self.upper[-1] - 1.0) > VALUE_TOL:
             raise ValueError("rightmost upper plateau must be 1")
 
-    def _passes_array_checks(self) -> bool:
-        """Every invariant after the lengths, as a few vectorized comparisons."""
-        jumps, lower, upper, ajl, aju = self._arrays
-        m = len(jumps)
-        # Q_0 and Q_1 along the response axis: plateau, jump value, plateau, ...
-        curves = np.empty((2, 2 * m + 1))
-        curves[0, 0::2], curves[1, 0::2] = lower, upper
-        curves[0, 1::2], curves[1, 1::2] = ajl, aju
-        # Strictly increasing jumps with finite ends are all finite.
-        return bool(
-            math.isfinite(self.jumps[0])
-            and math.isfinite(self.jumps[-1])
-            and (jumps[1:] > jumps[:-1]).all()
-            and ((curves >= -VALUE_TOL) & (curves <= 1.0 + VALUE_TOL)).all()
-            and (curves[0] <= curves[1] + VALUE_TOL).all()
-            and (curves[:, :-1] <= curves[:, 1:] + VALUE_TOL).all()
-            and abs(self.lower[0]) <= VALUE_TOL
-            and abs(self.upper[-1] - 1.0) <= VALUE_TOL
-        )
-
     def evaluate(self, y: float, tau: float) -> float:
         """Value of ``Q_tau`` at ``y``; linear in ``tau`` with slope >= 0."""
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {tau}")
         y = _finite(y, "query response")
-        i = bisect.bisect_left(self.jumps, y)
-        if i < len(self.jumps) and self.jumps[i] == y:
-            lo, hi = self.at_jump_lower[i], self.at_jump_upper[i]
+        jumps, lower, upper, ajl, aju = self.arrays
+        i = bisect.bisect_left(jumps, y)
+        if i < len(jumps) and jumps.item(i) == y:
+            lo, hi = ajl.item(i), aju.item(i)
         else:
-            lo, hi = self.lower[i], self.upper[i]
+            lo, hi = lower.item(i), upper.item(i)
         return lo + tau * (hi - lo)
 
     def slack(self, y: float) -> float:
@@ -304,16 +338,16 @@ class PredictiveBand:
         """
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {tau}")
-        jumps, lower, upper = self._arrays[:3]
+        jumps, lower, upper = self.arrays[:3]
         if not len(jumps):
             return 0.0
         try:
             values = np.broadcast_to(np.asarray(f(jumps), dtype=np.float64), jumps.shape)
         except (TypeError, ValueError):
-            values = np.array([float(f(y)) for y in self.jumps])
+            values = np.array([float(f(y)) for y in jumps.tolist()])
         bad = ~np.isfinite(values)
         if bad.any():
-            raise ValueError(f"integrand is not finite at jump {self.jumps[bad.argmax()]!r}")
+            raise ValueError(f"integrand is not finite at jump {jumps.item(bad.argmax())!r}")
         q = lower + tau * (upper - lower)
         # cumsum adds left to right like a loop from 0.0; adding 0.0 turns
         # the one possible difference, a -0.0 total, into the loop's 0.0.
@@ -321,47 +355,32 @@ class PredictiveBand:
 
     def is_distribution_function(self) -> bool:
         """True when lower and upper coincide everywhere (no tau slack)."""
-        return self.lower == self.upper and self.at_jump_lower == self.at_jump_upper
+        _, lower, upper, ajl, aju = self.arrays
+        return np.array_equal(lower, upper) and np.array_equal(ajl, aju)
 
     def to_dict(self) -> dict:
-        return {
-            "jumps": list(self.jumps),
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-            "at_jump_lower": list(self.at_jump_lower),
-            "at_jump_upper": list(self.at_jump_upper),
-        }
+        return {k: a.tolist() for k, a in zip(_BAND_FIELDS, self.arrays)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictiveBand":
-        return cls(
-            jumps=tuple(d["jumps"]),
-            lower=tuple(d["lower"]),
-            upper=tuple(d["upper"]),
-            at_jump_lower=tuple(d["at_jump_lower"]),
-            at_jump_upper=tuple(d["at_jump_upper"]),
-        )
+        return cls(*(d[k] for k in _BAND_FIELDS))
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict())``, byte for byte.
-
-        A rank band of ``m`` jumps has about ``m`` distinct values among its
-        ``4m + 2`` value entries, so each distinct value is formatted once,
-        keyed by its float64 bits (``-0.0`` and ``0.0`` stay apart).
-        """
-        values = self._arrays[1:]
-        keys, where = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
-        distinct = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
-        texts = list(map(distinct.__getitem__, where.tolist()))
-        fields, start = [json.dumps(self.jumps)], 0
-        for a in values:
-            fields.append("[" + ", ".join(texts[start : start + len(a)]) + "]")
-            start += len(a)
+        """``json.dumps(self.to_dict())``, byte for byte."""
+        jumps, *values = self.arrays
+        fields = [json.dumps(jumps.tolist())] + ["[" + ", ".join(t) + "]" for t in _reprs(*values)]
         return "{" + ", ".join(f'"{k}": {v}' for k, v in zip(_BAND_FIELDS, fields)) + "}"
 
     @classmethod
     def from_json(cls, s: str) -> "PredictiveBand":
         return cls.from_dict(json.loads(s))
+
+    def to_csv(self) -> str:
+        """The at-jump table: a ``y,lower,upper`` header, then one line per
+        jump with its location and ``Q_0``, ``Q_1`` there."""
+        jumps, _, _, ajl, aju = self.arrays
+        rows = zip(map(repr, jumps.tolist()), *_reprs(ajl, aju))
+        return "\n".join(["y,lower,upper", *map(",".join, rows)]) + "\n"
 
 
 class RandomStream:

@@ -13,8 +13,7 @@ response.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .partition import cell_indices, h_schedule, scalar_column, scalar_predictor
 __all__ = [
     "conformal_pvalue",
     "mondrian_pvalue",
-    "band_from_pvalue",
     "dh_band",
     "nn_band",
     "hmps_band",
@@ -125,15 +123,34 @@ def _group(values) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values in increasing order, and the counts below them.
 
     Returns ``(jumps, below)`` where ``below[k]`` counts the values less than
-    ``jumps[k]`` and the extra last entry ``below[-1]`` counts them all.  The
-    sort is stable, so of equal values ``-0.0`` and ``0.0`` the first given
-    becomes the jump.
+    ``jumps[k]`` and the extra last entry ``below[-1]`` counts them all.  Of
+    equal values ``-0.0`` and ``0.0`` the first given becomes the jump, as
+    with a stable sort.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
-    first = np.ones(len(v), dtype=bool)
-    np.not_equal(v[1:], v[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return v[starts], np.concatenate((starts, [len(v)]))
+    values = np.asarray(values, dtype=np.float64)
+    v = np.sort(values)
+    first = np.ones(len(v) + 1, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=first[1:-1])
+    below = np.flatnonzero(first)
+    jumps = v[below[:-1]]
+    # The sort may put -0.0 and 0.0 in either order.
+    z = jumps.searchsorted(0.0)
+    if z < len(jumps) and jumps[z] == 0.0:
+        jumps[z] = values[(values == 0.0).argmax()]
+    return jumps, below
+
+
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank ``0, 1, ...`` of each value among the distinct values (equal
+    values rank together), and the number of distinct values."""
+    order = values.argsort()
+    v = values[order]
+    step = np.empty(len(v), dtype=np.int64)
+    step[:1] = 0
+    np.not_equal(v[1:], v[:-1], out=step[1:])
+    ranks = np.empty_like(step)
+    ranks[order] = step.cumsum()
+    return ranks, len(v) and int(ranks[order[-1]]) + 1
 
 
 def _rank_band(points) -> PredictiveBand:
@@ -147,7 +164,7 @@ def _rank_band(points) -> PredictiveBand:
     jumps, below = _group(points)
     den = int(below[-1]) + 1
     lower, upper = below / den, (below + 1) / den
-    return PredictiveBand(jumps, lower, upper, lower[:-1], upper[1:])
+    return PredictiveBand._adopt(jumps, lower, upper, lower[:-1], upper[1:])
 
 
 def _ecdf_band(values) -> PredictiveBand:
@@ -156,14 +173,14 @@ def _ecdf_band(values) -> PredictiveBand:
         raise ValueError("empirical distribution needs at least one value")
     jumps, below = _group(values)
     plats = below / int(below[-1])
-    return PredictiveBand(jumps, plats, plats, plats[1:], plats[1:])
+    return PredictiveBand._adopt(jumps, plats, plats, plats[1:], plats[1:])
 
 
 def _cells(training: Columns, x) -> tuple[np.ndarray, float]:
     """Cell of every training predictor and of ``x``, at width ``h_schedule(n)``."""
     h = h_schedule(len(training))
-    cells = cell_indices(scalar_column(training), h)
-    return cells, cell_indices([scalar_predictor(x)], h)[0]
+    cells = cell_indices(np.append(scalar_column(training), scalar_predictor(x)), h)
+    return cells[:-1], cells[-1]
 
 
 def _in_cell_responses(training, x) -> np.ndarray:
@@ -304,48 +321,41 @@ def venn_distribution(
     return _ecdf_band([o.y for o, lab in zip(seq, labels) if lab == labels[n]])
 
 
-def band_from_pvalue(
-    jump_candidates: Sequence[float],
-    pvalue: Callable[[float, float], float],
-) -> PredictiveBand:
-    """Band extracted from a p-value callable ``pvalue(y, tau)``.
+def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sorted ``histogram_score`` keys of points with cells ``c``, responses
+    ``y`` and tie-break numbers ``t``, each scored within its own cell.
 
-    Exact (not a grid approximation) whenever the p-value is constant between
-    the candidate jump locations, which holds for rank transducers probed at
-    their score-crossing points.  Plateaus are probed at the next double
-    beyond each end and at ``a/2 + b/2`` between neighbours ``a < b``, which
-    stays finite near the largest doubles.  Candidates that change nothing
-    are dropped.
+    A point's key is its rank ``a`` (cell mates, itself included, whose
+    ``(y, t)`` pair is <= its own, less one) over ``N = cell size - 1``, or
+    the sign rule when ``N = 0``, divided as ``histogram_score`` divides.
+    The points are sorted by ``(cell, y)`` through one key of dense ranks,
+    below ``len(c) ** 2``; when ``y`` has ties, each run of equal
+    ``(cell, y)`` is then ordered by ``t``.
     """
-    def q01(y: float) -> tuple[float, float]:
-        return pvalue(y, 0.0), pvalue(y, 1.0)
-
-    jumps = sorted(set(float(j) for j in jump_candidates))
-    if not jumps:
-        lo, hi = q01(0.0)
-        return PredictiveBand((), (lo,), (hi,), (), ())
-    probes = [math.nextafter(jumps[0], -math.inf)]
-    probes += [a / 2.0 + b / 2.0 for a, b in zip(jumps, jumps[1:])]
-    probes.append(math.nextafter(jumps[-1], math.inf))
-    plats = [q01(p) for p in probes]
-    at = [q01(j) for j in jumps]
-    out_jumps: list[float] = []
-    out_lower: list[float] = [plats[0][0]]
-    out_upper: list[float] = [plats[0][1]]
-    out_ajl: list[float] = []
-    out_aju: list[float] = []
-    for k, j in enumerate(jumps):
-        left, right, here = plats[k], plats[k + 1], at[k]
-        if left == right == here:
-            continue  # nothing changes here; merge the plateaus
-        out_jumps.append(j)
-        out_lower.append(right[0])
-        out_upper.append(right[1])
-        out_ajl.append(here[0])
-        out_aju.append(here[1])
-    return PredictiveBand(
-        tuple(out_jumps), tuple(out_lower), tuple(out_upper), tuple(out_ajl), tuple(out_aju)
-    )
+    rc, _ = _dense_ranks(c)
+    ry, ky = _dense_ranks(y)
+    cy = rc * ky + ry
+    order = cy.argsort()
+    cy = cy[order]
+    if ky < len(y):
+        edge = np.zeros(len(cy) + 1, dtype=bool)
+        np.equal(cy[1:], cy[:-1], out=edge[1:-1])
+        tied = np.flatnonzero(edge[1:] | edge[:-1])
+        run, _ = _dense_ranks(cy[tied])
+        rt, kt = _dense_ranks(t[order[tied]])
+        order[tied] = order[tied[(run * kt + rt).argsort()]]
+    rc, y, t = rc[order], y[order], t[order]
+    # Starts of cells and of equal (cell, y, t) triples, and an end mark; a
+    # running count of starts numbers each point's cell and triple.
+    new_cell = np.ones(len(rc) + 1, dtype=bool)
+    np.not_equal(rc[1:], rc[:-1], out=new_cell[1:-1])
+    new_triple = new_cell.copy()
+    new_triple[1:-1] |= (cy[1:] != cy[:-1]) | (t[1:] != t[:-1])
+    cell_bounds, cell_of = np.flatnonzero(new_cell), new_cell[:-1].cumsum()
+    start = cell_bounds[cell_of - 1]
+    rank = np.flatnonzero(new_triple)[new_triple[:-1].cumsum()] - start - 1
+    mates = cell_bounds[cell_of] - start - 1
+    return np.sort(np.where(mates > 0, rank, y >= 0) / np.maximum(mates, 1))
 
 
 def hcps_band(
@@ -388,7 +398,7 @@ def hcps_band(
         if stream is None:
             raise ValueError("hcps_band needs tie-break numbers or a stream")
         thetas = stream.uniforms(n + 1)
-    thetas = np.array(thetas, dtype=np.float64).ravel()
+    thetas = np.asarray(thetas, dtype=np.float64).ravel()
     if len(thetas) != n + 1:
         raise ValueError(f"need {n + 1} tie-break numbers, got {len(thetas)}")
     cols = as_columns(training)
@@ -396,40 +406,18 @@ def hcps_band(
     in_test = cells == c_test
     theta_cand = thetas[n]
     den = n + 1
-
-    # Scores outside the test cell: the in-cell rank a (cell mates whose
-    # (y, theta) pair is <= one's own) over N = cell size - 1, or the sign
-    # rule when N = 0.  Floats, divided as histogram_score divides them.
     out = ~in_test
-    c, y, t = cells[out], cols.ys[out], thetas[:n][out]
-    order = np.lexsort((t, y, c))
-    c, y, t = c[order], y[order], t[order]
-    new_cell = np.ones(len(c), dtype=bool)
-    np.not_equal(c[1:], c[:-1], out=new_cell[1:])
-    new_pair = new_cell.copy()
-    new_pair[1:] |= (y[1:] != y[:-1]) | (t[1:] != t[:-1])
-    cell_start = np.flatnonzero(new_cell)
-    cell_of = np.cumsum(new_cell) - 1
-    pair_end = np.concatenate((np.flatnonzero(new_pair)[1:], [len(c)]))
-    rank = pair_end[np.cumsum(new_pair) - 1] - cell_start[cell_of] - 1
-    mates = np.diff(np.concatenate((cell_start, [len(c)])))[cell_of] - 1
-    keys = np.where(
-        mates > 0, rank / np.maximum(mates, 1), np.where(y >= 0, 1.0, 0.0)
-    )
-    out_keys = np.sort(keys)
+    out_keys = _cell_rank_keys(cells[out], cols.ys[out], thetas[:n][out])
 
     def band_values(less, tied, key):
-        lo = np.searchsorted(out_keys, key, side="left")
-        hi = np.searchsorted(out_keys, key, side="right")
-        less = less + lo
-        return less / den, (less + tied + (hi - lo) + 1) / den
+        lo = less + out_keys.searchsorted(key)
+        return lo / den, (less + tied + 1 + out_keys.searchsorted(key, "right")) / den
 
     yc, tc = cols.ys[in_test], thetas[:n][in_test]
     m = len(yc)
     if m:
-        order = np.argsort(yc, kind="stable")
-        yc, tc = yc[order], tc[order]
         jumps, below = _group(yc)
+        tc = tc[yc.argsort()]
         starts = below[:-1]
         less_g = np.add.reduceat(tc < theta_cand, starts)
         tied_g = np.add.reduceat(tc == theta_cand, starts)
@@ -444,10 +432,5 @@ def hcps_band(
     keep = ~(
         (p0[:-1] == p0[1:]) & (p1[:-1] == p1[1:]) & (a0 == p0[1:]) & (a1 == p1[1:])
     )
-    return PredictiveBand(
-        jumps[keep],
-        np.append(p0[0], p0[1:][keep]),
-        np.append(p1[0], p1[1:][keep]),
-        a0[keep],
-        a1[keep],
-    )
+    plateaus = np.concatenate(([True], keep))
+    return PredictiveBand._adopt(jumps[keep], p0[plateaus], p1[plateaus], a0[keep], a1[keep])

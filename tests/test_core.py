@@ -1,6 +1,7 @@
 """Band data structure and random stream tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cpskit import (
     ks_uniform,
     pfs_distribution,
 )
+from cpskit.harness import rows_to_csv
 
 TOL = 1e-12
 
@@ -236,8 +238,8 @@ def test_band_validation_names_the_first_violation():
 
 
 def test_large_band_validation_names_the_same_violations():
-    # from 32 jumps on, array checks run first; a failing band is then
-    # checked invariant by invariant like a small one
+    # array checks accept a valid band; a failing one is then checked
+    # invariant by invariant, which names the violation
     good = dh_band([float(k) for k in range(40)]).to_dict()
 
     def changed(*edits):
@@ -266,6 +268,71 @@ def test_band_json_round_trip():
     assert again == band
     d = band.to_dict()
     assert list(d) == ["jumps", "lower", "upper", "at_jump_lower", "at_jump_upper"]
+
+
+FIELDS = ("jumps", "lower", "upper", "at_jump_lower", "at_jump_upper")
+
+
+def _as_tuples(band):
+    return tuple(getattr(band, k) for k in FIELDS)
+
+
+def test_band_equality_and_hash_follow_the_tuple_fields():
+    minus = PredictiveBand((-0.0,), (0.0, 0.5), (0.5, 1.0), (-0.0,), (1.0,))
+    plus = PredictiveBand((0.0,), (-0.0, 0.5), (0.5, 1.0), (0.0,), (1.0,))
+    assert minus == plus and hash(minus) == hash(plus) and len({minus, plus}) == 1
+    assert math.copysign(1.0, minus.jumps[0]) == -1.0  # the stored sign is kept
+    assert minus.to_json() != plus.to_json()
+    others = [
+        PredictiveBand((0.0,), (0.0, 0.25), (0.5, 1.0), (0.0,), (1.0,)),
+        dh_band([1.0]),
+        dh_band([1.0, 1.0]),  # the same jumps, other values
+        dh_band([1.0, 2.0]),
+        dh_band([2.0, 1.0]),
+        PredictiveBand((), (0.0,), (1.0,), (), ()),
+    ]
+    bands = [minus, plus] + others
+    for a in bands:
+        for b in bands:
+            assert (a == b) == (_as_tuples(a) == _as_tuples(b))
+            if a == b:
+                assert hash(a) == hash(b)
+    assert minus != minus.to_dict()
+
+
+def test_band_storage_is_read_only():
+    fields = [np.array([1.0, 2.0]), [0.0, 0.25, 0.5], (0.5, 0.75, 1.0), [0.0, 0.25], [0.75, 1.0]]
+    band = PredictiveBand(*fields)
+    fields[0][0] = 1.5  # the caller's array is copied, not shared
+    assert band.jumps == (1.0, 2.0)
+    for name, a in zip(FIELDS, band.arrays):
+        assert a.dtype == np.float64 and not a.flags.writeable
+        assert getattr(band, name) == tuple(a.tolist())
+        assert all(type(v) is float for v in getattr(band, name))
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+        with pytest.raises(AttributeError):
+            setattr(band, name, ())
+    for built in (dh_band([2.0, 1.0]), pfs_distribution([Observation(0.5, 1.0)], 0.5)):
+        assert not any(a.flags.writeable for a in built.arrays)
+    with pytest.raises(AttributeError):
+        band.arrays = ()
+    with pytest.raises(AttributeError):
+        del band.arrays
+    assert pickle.loads(pickle.dumps(band)) == band
+
+
+def test_band_csv_is_the_at_jump_table():
+    bands = [
+        dh_band([1.0, 2.0, 2.0, 0.1]),
+        PredictiveBand((), (0.0,), (1.0,), (), ()),
+        PredictiveBand((-0.0,), (0.0, 0.5), (0.5, 1.0), (-0.0,), (1.0,)),
+    ]
+    for band in bands:
+        rows = zip(band.jumps, band.at_jump_lower, band.at_jump_upper)
+        assert band.to_csv() == rows_to_csv(("y", "lower", "upper"), rows)
+    assert bands[1].to_csv() == "y,lower,upper\n"
+    assert bands[2].to_csv() == "y,lower,upper\n-0.0,-0.0,1.0\n"
 
 
 def test_random_bands_are_monotone_in_y():

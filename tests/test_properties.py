@@ -40,6 +40,7 @@ from cpskit import (
     venn_distribution,
 )
 from cpskit.conformity import _sq_dist
+from cpskit.harness import rows_to_csv
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -96,7 +97,9 @@ def assert_invariants(band):
     text = band.to_json()
     assert text == json.dumps(band.to_dict())
     again = PredictiveBand.from_json(text)
-    assert again == band and again.to_json() == text
+    assert again == band and again.to_json() == text and hash(again) == hash(band)
+    rows = zip(band.jumps, band.at_jump_lower, band.at_jump_upper)
+    assert band.to_csv() == rows_to_csv(("y", "lower", "upper"), rows)
 
 
 def in_cell(training, xq):

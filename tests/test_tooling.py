@@ -6,9 +6,11 @@ would break the traced benchmark without failing any other test.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import cpskit.harness as harness
+from cpskit import PredictiveBand, dh_band
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,3 +46,26 @@ def test_recorder_wraps_and_restores_every_name():
     assert all(vars(owner)[attr] is b for (owner, attr), b in zip(sites, before))
     # Registry builders are looked up in harness, where the recorder sees them.
     assert rec.counts["transducers.nn_band.calls"] == 2
+
+
+def test_bands_support_what_the_traced_diagnostics_read():
+    # perfbench/bench.py `diagnostics` takes len(band.jumps), tests the truth
+    # of band.jumps and zips the at-jump values; a bare ndarray would raise on
+    # the truth test and break every `--trace 1` run.
+    bands = [PredictiveBand((), (0.0,), (1.0,), (), ()), dh_band([1.0]), dh_band([3.0, 1.0, 2.0])]
+    for band, m in zip(bands, (0, 1, 3)):
+        assert len(band.jumps) == m
+        assert bool(band.jumps) is (m > 0)
+        assert len(list(zip(band.at_jump_lower, band.at_jump_upper))) == m
+    sys.path.insert(0, str(TRACING.parent))
+    try:
+        import bench
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(TRACING.parent))
+    for band, m, slack in zip(bands, (0, 1, 3), (None, 1.0, 0.5)):
+        rec = tracing.Recorder()
+        rec.op_bands = [band]
+        d = bench.diagnostics(workloads.Op(0, "dh", None, 1, max(m, 1), {}), rec)
+        assert (d["jumps"], d["max_slack"]) == (m, slack)

@@ -3,11 +3,11 @@
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from cpskit import (
     Observation,
-    band_from_pvalue,
     cell_index,
     conformal_pvalue,
     derive_stream,
@@ -24,6 +24,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
+from cpskit.transducers import _cell_rank_keys, _group
 
 TOL = 1e-12
 
@@ -383,39 +384,9 @@ def test_venn_distribution_monotone_in_postulated_response():
             assert -TOL <= gap <= 1.0 / class_size + TOL
 
 
-# --- generic extraction --------------------------------------------------------
-
-
-def test_band_from_pvalue_reconstructs_rank_band():
-    training = [obs(0.0, 1.0), obs(1.0, 3.0), obs(2.0, 3.0)]
-    pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
-    rebuilt = band_from_pvalue([1.0, 3.0], pvalue)
-    assert rebuilt == dh_band([1.0, 3.0, 3.0])
-
-
-def test_band_from_pvalue_drops_inactive_candidates():
-    training = [obs(0.0, 1.0)]
-    pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
-    rebuilt = band_from_pvalue([-50.0, 1.0, 50.0], pvalue)
-    assert list(rebuilt.jumps) == [1.0]
-
-
 # --- float edges ----------------------------------------------------------------
 
 HUGE = [2.0**54, 3.0, -(2.0**54)]  # beyond 2^53, y +- 1.0 rounds back to y
-
-
-def test_band_from_pvalue_probes_beyond_huge_end_jumps():
-    training = [obs(0.0, y) for y in HUGE]
-    pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
-    assert band_from_pvalue(HUGE, pvalue) == dh_band(HUGE)
-
-
-def test_band_from_pvalue_midpoint_near_largest_double_stays_finite():
-    big = [1.6e308, 1.7e308]  # (a + b) / 2 overflows
-    training = [obs(0.0, y) for y in big]
-    pvalue = lambda y, tau: conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
-    assert band_from_pvalue(big, pvalue) == dh_band(big)
 
 
 def test_hcps_band_with_huge_responses_matches_transducer():
@@ -435,3 +406,79 @@ def test_nn_band_midpoints_near_largest_double_stay_finite():
     band = nn_band(training, 0.0, derive_stream(0, [0]))
     assert all(math.isfinite(j) for j in band.jumps)
     assert list(band.jumps) == [1.6e308, 1.7e308]
+
+
+# --- sorting without stable sorts -----------------------------------------------
+
+
+def _group_stable(values):
+    """The grouping step with a stable sort, as it was written before."""
+    v = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    first = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return v[starts], np.concatenate((starts, [len(v)]))
+
+
+def test_group_keeps_the_first_signed_zero_of_the_input():
+    # numpy's default sort orders -0.0 and 0.0 either way, differently from
+    # one input to the next, so many inputs are checked.
+    rng = np.random.default_rng(20240801)
+    for lead, first in [(lead, first) for lead in ([], [3.0]) for first in (-0.0, 0.0)] * 10:
+        values = rng.choice([-0.0, 0.0, -1.5, 2.0], size=100_000)
+        values = np.concatenate((lead, [first], values))
+        jumps, below = _group(values)
+        want_jumps, want_below = _group_stable(values)
+        assert jumps.view(np.int64).tolist() == want_jumps.view(np.int64).tolist()
+        assert below.tolist() == want_below.tolist()
+        assert math.copysign(1.0, jumps[1]) == math.copysign(1.0, first)
+
+
+def _cell_rank_keys_lexsort(c, y, t):
+    """The out-of-cell keys of hcps_band through a three-key lexsort, as they
+    were computed before."""
+    order = np.lexsort((t, y, c))
+    c, y, t = c[order], y[order], t[order]
+    new_cell = np.ones(len(c), dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=new_cell[1:])
+    new_pair = new_cell.copy()
+    new_pair[1:] |= (y[1:] != y[:-1]) | (t[1:] != t[:-1])
+    cell_start = np.flatnonzero(new_cell)
+    cell_of = np.cumsum(new_cell) - 1
+    pair_end = np.concatenate((np.flatnonzero(new_pair)[1:], [len(c)]))
+    rank = pair_end[np.cumsum(new_pair) - 1] - cell_start[cell_of] - 1
+    mates = np.diff(np.concatenate((cell_start, [len(c)])))[cell_of] - 1
+    keys = np.where(
+        mates > 0, rank / np.maximum(mates, 1), np.where(y >= 0, 1.0, 0.0)
+    )
+    return np.sort(keys)
+
+
+@pytest.mark.parametrize("n, rounds", [(20, 400), (5000, 8)])
+def test_cell_rank_keys_match_the_lexsort_ranking(n, rounds):
+    rng = np.random.default_rng(n)
+    for _ in range(rounds):
+        size = int(rng.integers(0, n + 1))
+        cells = rng.integers(-3, 4, size) * 2.0 ** int(rng.integers(0, 60))
+        ys = rng.choice([-0.0, 0.0, 1.0, -2.5, 0.5], size)
+        if rng.random() < 0.3:
+            ys = rng.normal(size=size)
+        ts = rng.choice([0.0, 0.25, 0.5, 1.0], size) if rng.random() < 0.7 else rng.random(size)
+        got = _cell_rank_keys(cells, ys, ts)
+        assert got.tolist() == _cell_rank_keys_lexsort(cells, ys, ts).tolist()
+
+
+@pytest.mark.parametrize("n", [20, 5000])
+def test_hcps_band_on_tied_inputs_matches_the_lexsort_keys(n, monkeypatch):
+    import cpskit.transducers as transducers
+
+    rng = np.random.default_rng(n + 1)
+    cases = []
+    for _ in range(40 if n < 100 else 4):
+        columns = transducers.Columns(
+            rng.choice([0.05, 0.3, 0.55, 0.8], n), rng.choice([-0.0, 0.0, 1.0, -1.0, 2.0], n)
+        )
+        cases.append((columns, rng.choice([0.0, 0.5, 1.0], n + 1)))
+    bands = [hcps_band(columns, 0.3, thetas=thetas).to_json() for columns, thetas in cases]
+    monkeypatch.setattr(transducers, "_cell_rank_keys", _cell_rank_keys_lexsort)
+    assert bands == [hcps_band(columns, 0.3, thetas=thetas).to_json() for columns, thetas in cases]
