@@ -210,7 +210,7 @@ def _cmd_validate(args) -> int:
     spec = SYSTEMS.get(args.system)
     if spec is None or not spec.uniform_pit:
         raise ValueError(f"system {args.system!r} cannot be validated")
-    if args.online and not spec.online_valid:
+    if args.online and spec.online is None:
         raise ValueError(
             f"--online applies to conformal systems only, not {args.system!r}"
         )

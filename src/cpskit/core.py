@@ -251,9 +251,10 @@ class PredictiveBand:
     def validate(self) -> None:
         """Re-check every structural invariant; raises ValueError on failure.
 
-        One round of array checks accepts a valid band.  A band that fails
-        them is checked invariant by invariant, which names the first
-        violation.
+        Exact comparisons of neighbouring values accept a band whose curves
+        are monotone and ordered without tolerance, as every builder's are.
+        Any other band is checked invariant by invariant, with
+        ``VALUE_TOL``, which names the first violation.
         """
         jumps, lower, upper, ajl, aju = self.arrays
         m = len(jumps)
@@ -261,21 +262,17 @@ class PredictiveBand:
             raise ValueError("plateau lists must have len(jumps) + 1 entries")
         if len(ajl) != m or len(aju) != m:
             raise ValueError("at-jump lists must have len(jumps) entries")
-        # Q_0 and Q_1 along the response axis: plateau, jump value, plateau, ...
-        curves = np.empty((2, 2 * m + 1))
-        curves[0, 0::2], curves[1, 0::2] = lower, upper
-        curves[0, 1::2], curves[1, 1::2] = ajl, aju
-        # Strictly increasing jumps with finite ends are all finite; min and
-        # max are NaN if any value is.
+        # Strictly increasing jumps with finite ends are all finite.  Every
+        # value enters a comparison, which fails on NaN; with both curves
+        # monotone and Q_0 <= Q_1, all values lie in [lower[0], upper[-1]].
         if (
             (m == 0 or math.isfinite(jumps[0]) and math.isfinite(jumps[-1]))
             and (jumps[1:] > jumps[:-1]).all()
-            and curves.min() >= -VALUE_TOL
-            and curves.max() <= 1.0 + VALUE_TOL
-            and (curves[0] <= curves[1] + VALUE_TOL).all()
-            and (curves[:, :-1] <= curves[:, 1:] + VALUE_TOL).all()
             and abs(lower[0]) <= VALUE_TOL
             and abs(upper[-1] - 1.0) <= VALUE_TOL
+            and (lower <= upper).all() and (ajl <= aju).all()
+            and (lower[:-1] <= ajl).all() and (ajl <= lower[1:]).all()
+            and (upper[:-1] <= aju).all() and (aju <= upper[1:]).all()
         ):
             return
         for j in self.jumps:

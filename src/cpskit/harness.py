@@ -6,12 +6,14 @@ tie-break numbers in index order, then the single ``tau``.  Stream paths are
 namespaced per experiment so different experiments under one seed never share
 draws: probability-transform sampling uses ``[0, trial]``, the online
 protocol ``[1]``, consistency curves ``[2, n_index, trial]``, and the
-class-conditional calibration study ``[3, trial]``.
+class-conditional calibration study ``[3, trial]``.  The online protocol
+draws every row, tie-break number and tau first, then reads each step's
+transform from the system's ``online`` counts, kept in per-system state
+instead of a band per step; ``nn`` ties still draw at every step.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import statistics
 from dataclasses import dataclass
@@ -27,10 +29,13 @@ from .partition import histogram_taxonomy, scalar_predictor
 from .transducers import (
     conformal_pvalue,  # noqa: F401  unused here, bound for perfbench/tracing.py
     dh_band,
+    dh_online,
     hcps_band,
+    hcps_online,
     hmps_band,
     mondrian_pvalue,  # noqa: F401  unused here, bound for perfbench/tracing.py
     nn_band,
+    nn_online,
     pfs_distribution,
     venn_distribution,
 )
@@ -178,17 +183,19 @@ class PredictiveSystemSpec:
     - ``scalar_only``: predictors must be one-dimensional;
     - ``uniform_pit``: under IID data the band's value at the realized
       response, ``band.evaluate(y, tau)``, is exactly uniform (rank bands);
-    - ``online_valid``: the transforms of the online protocol are
-      independent (conformal systems);
     - ``postulated``: the band reads the postulated response ``u``.
+
+    ``online(columns, thetas, stream)``, set only for the conformal systems,
+    whose online transforms are independent, gives the online counts of
+    ``band`` over the rows of ``columns``, as ``cpskit.transducers`` defines.
     """
 
     name: str
     band: Callable[..., PredictiveBand]
     scalar_only: bool = False
     uniform_pit: bool = False
-    online_valid: bool = False
     postulated: bool = False
+    online: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
 
 # The builders are looked up in this module's namespace when called, so a
@@ -198,11 +205,11 @@ SYSTEMS: dict[str, PredictiveSystemSpec] = {
     for spec in (
         PredictiveSystemSpec(
             "dh", lambda tr, x, st, th, u: dh_band(tr.ys),
-            uniform_pit=True, online_valid=True,
+            uniform_pit=True, online=lambda cols, th, st: dh_online(cols.ys),
         ),
         PredictiveSystemSpec(
             "nn", lambda tr, x, st, th, u: nn_band(tr, x, st),
-            uniform_pit=True, online_valid=True,
+            uniform_pit=True, online=lambda cols, th, st: nn_online(cols, st),
         ),
         PredictiveSystemSpec(
             "hist-mondrian", lambda tr, x, st, th, u: hmps_band(tr, x),
@@ -210,7 +217,8 @@ SYSTEMS: dict[str, PredictiveSystemSpec] = {
         ),
         PredictiveSystemSpec(
             "hist-conformal", lambda tr, x, st, th, u: hcps_band(tr, x, th, st),
-            scalar_only=True, uniform_pit=True, online_valid=True,
+            scalar_only=True, uniform_pit=True,
+            online=lambda cols, th, st: hcps_online(cols, th),
         ),
         PredictiveSystemSpec(
             "pfs", lambda tr, x, st, th, u: pfs_distribution(tr, x),
@@ -306,14 +314,16 @@ def online_coverage(
     ``n + 1`` from the first ``n``, with a fresh tau per step, and the
     transform is checked against ``[epsilon/2, 1 - epsilon/2]``.  Only
     conformal systems make the step transforms independent, so others are
-    rejected.
+    rejected.  The system's ``online`` counts give every step's transform
+    with the band's own arithmetic, so it equals the registry band's to the
+    last bit, and no step builds a band.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     spec = _system(system)
-    if not spec.online_valid:
+    if spec.online is None:
         raise ValueError(
             f"online validity is only claimed for conformal systems, not {system!r}"
         )
@@ -321,31 +331,12 @@ def online_coverage(
     cols = sampler.columns(st, steps + 1)
     thetas = st.uniforms(steps + 1)
     taus = st.uniforms(steps)
-    lo_edge, hi_edge = epsilon / 2.0, 1.0 - epsilon / 2.0
-    covered = 0
-    if system == "dh":
-        # Ranks against a growing sorted list give the dh band's value at
-        # the new response in O(log n) a step; a band per step would make
-        # 10^4 steps O(n^2 log n).
-        ys = cols.ys.tolist()
-        sorted_ys: list[float] = []
-        for n in range(1, steps + 1):
-            bisect.insort(sorted_ys, ys[n - 1])
-            less = bisect.bisect_left(sorted_ys, ys[n])
-            tied = bisect.bisect_right(sorted_ys, ys[n]) - less + 1
-            # The band's own arithmetic (_rank_band, then evaluate), so the
-            # transform equals the registry band's to the last bit.
-            lo, hi = less / (n + 1), (less + tied) / (n + 1)
-            pit = lo + float(taus[n - 1]) * (hi - lo)
-            if lo_edge <= pit <= hi_edge:
-                covered += 1
-    else:
-        for n in range(1, steps + 1):
-            test = cols.row(n)
-            band = spec.band(cols.head(n), test.x, st, thetas[: n + 1], None)
-            if lo_edge <= band.evaluate(test.y, float(taus[n - 1])) <= hi_edge:
-                covered += 1
-    return covered / steps
+    less, upto = spec.online(cols, thetas, st)
+    den = np.arange(2, steps + 2)
+    lo, hi = less / den, upto / den
+    pit = lo + taus * (hi - lo)
+    covered = np.count_nonzero((epsilon / 2.0 <= pit) & (pit <= 1.0 - epsilon / 2.0))
+    return int(covered) / steps
 
 
 # ---------------------------------------------------------------------------

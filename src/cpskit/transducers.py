@@ -9,10 +9,18 @@ response-rank system, the nearest-neighbour system, the cell-conditional
 (histogram) systems, and the empirical probability forecaster, plus the
 family of class-conditional distribution functions indexed by a postulated
 response.
+
+The conformal systems also have online forms (``dh_online``, ``nn_online``,
+``hcps_online``) over rows ``0..k``: at step ``n = 1..k`` rows ``0..n-1``
+train and row ``n`` is the test row.  Each returns two int64 arrays of step
+counts, ``less`` (scores below the candidate's) and ``upto`` (scores at or
+below it, the candidate's included): the step's band takes the values
+``less / (n + 1)`` and ``upto / (n + 1)`` at the test response.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +40,12 @@ __all__ = [
     "conformal_pvalue",
     "mondrian_pvalue",
     "dh_band",
+    "dh_online",
     "nn_band",
+    "nn_online",
     "hmps_band",
     "hcps_band",
+    "hcps_online",
     "pfs_distribution",
     "venn_distribution",
 ]
@@ -202,6 +213,27 @@ def dh_band(responses) -> PredictiveBand:
     return _rank_band(responses)
 
 
+def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
+    """Online counts of ``dh_band``: how many of the responses before each
+    one lie below it, and at or below it.  They are counted in blocks of
+    about ``sqrt(len(responses))``, against the sorted earlier blocks by
+    binary search and within the block by comparing every pair."""
+    ys = np.asarray(responses, dtype=np.float64)
+    k = len(ys)
+    b = int(k**0.5) + 1
+    earlier = np.tri(b, k=-1, dtype=bool)  # earlier[i, j]: j comes before i
+    less, at_or_below = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    seen = ys[:0]
+    for s in range(0, k, b):
+        block = ys[s : s + b]
+        e = earlier[: len(block), : len(block)]
+        below = block[None, :] < block[:, None]
+        less[s : s + b] = seen.searchsorted(block) + (e & below).sum(axis=1)
+        at_or_below[s : s + b] = seen.searchsorted(block, "right") + (e & ~below.T).sum(axis=1)
+        seen = np.sort(np.concatenate((seen, block)))
+    return less[1:], at_or_below[1:] + 1
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of ``a`` and the rows of ``b``.
 
@@ -265,6 +297,51 @@ def nn_band(
         with np.errstate(over="ignore"):  # an infinite crossing fails validation
             crossings[lo + far] = y_hat + (y[far] - y_nn)
     return _rank_band(crossings)
+
+
+def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Online counts of ``nn_band``, from per-row nearest-neighbour state.
+
+    Row ``i`` keeps ``near[i]``, its squared distance to its nearest other
+    rows so far (inf, itself included, while none is nearer, as in
+    ``nn_band``'s distance rows), the first one's response, and in ``tied``
+    all their responses when there are several.  Each step's distances from
+    the test row, as ``nn_band`` computes them, give its crossings and then
+    update the state.  Ties draw from ``stream`` as ``nn_band`` draws.
+    """
+    xs, ys, k = training.xs, training.ys, len(training)
+    responses = ys.tolist()
+    near, y_nn = np.full(k, np.inf), ys.copy()
+    tied: dict[int, list[float]] = {}
+    less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
+    for n in range(1, k):
+        to_test = _sq_dists(xs[:n], xs[n : n + 1])[:, 0]
+        y, y_test, nearest = ys[:n], responses[n], to_test.min()
+        at_nearest = to_test == nearest
+        y_hat = _pick_response(y[at_nearest].tolist(), stream)
+        with np.errstate(over="ignore"):  # only crossings in use must be finite
+            crossings = np.where(to_test < near[:n], y_hat / 2.0 + y / 2.0,
+                                 y_hat + (y - y_nn[:n]))
+            for i in sorted(tied):
+                if to_test[i] >= near[i]:
+                    crossings[i] = y_hat + (y[i] - _pick_response(tied[i], stream))
+        if not np.isfinite(crossings).all():
+            raise ValueError(f"a nearest-neighbour crossing overflows at step {n}")
+        less[n - 1] = np.count_nonzero(crossings < y_test)
+        upto[n - 1] = np.count_nonzero(crossings <= y_test) + 1
+        for i in np.flatnonzero(to_test <= near[:n]).tolist():
+            if to_test[i] < near[i]:
+                near[i], y_nn[i] = to_test[i], y_test
+                tied.pop(i, None)
+            else:
+                tied.setdefault(i, [float(y_nn[i])]).append(y_test)
+        hits = np.flatnonzero(at_nearest).tolist()
+        if nearest == np.inf:
+            hits.append(n)
+        near[n], y_nn[n] = nearest, responses[hits[0]]
+        if len(hits) > 1:
+            tied[n] = [responses[i] for i in hits]
+    return less, upto
 
 
 def hmps_band(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
@@ -434,3 +511,86 @@ def hcps_band(
     )
     plateaus = np.concatenate(([True], keep))
     return PredictiveBand._adopt(jumps[keep], p0[plateaus], p1[plateaus], a0[keep], a1[keep])
+
+
+def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Online counts of ``hcps_band``, from per-cell sorted ``(y, theta)`` lists.
+
+    The cells are rebuilt whenever ``h_schedule`` halves (at ``n = 8**k``).
+    Of the ``m`` pairs in the test cell, ``lo`` lie below the candidate's
+    and ``hi`` at or below it; its key is ``a / m = hi / m``, or ``a / 1`` by
+    the sign rule in an empty cell.  The step's counts are ``lo`` and
+    ``hi + 1`` plus the keys below, and at or below, ``a / m`` of the other
+    cells, as ``hcps_band`` keys them.  A cell of ``N + 1`` points without
+    duplicate pairs holds the keys ``r / N``, ``r = 0..N``, so its counts
+    (``r * m < a * N``, exactly) depend on its size alone and are taken once
+    per distinct size.  Cells with duplicate pairs are counted by rank.
+    """
+    x_col, ys = scalar_column(training), training.ys.tolist()
+    ts = np.asarray(thetas, dtype=np.float64).tolist()
+    k = len(ys)
+    less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
+    h = pairs = sizes = singles = dup = None
+
+    def tally(c, lst, sign):
+        # Singletons by sign, other cells without duplicates by size.
+        if len(lst) == 1:
+            singles[lst[0][0] >= 0] += sign
+        elif c not in dup:
+            s = len(lst)
+            sizes[s] = sizes.get(s, 0) + sign
+            if not sizes[s]:
+                del sizes[s]
+
+    def key_counts(lst, c, a, m):
+        # Keys of the points of one cell below a / m, and at or below it.
+        if len(lst) == 1:
+            key = int(lst[0][0] >= 0)
+            return int(key * m < a), int(key * m <= a)
+        q = a * (len(lst) - 1)
+        if c not in dup:
+            return -(-q // m), q // m + 1
+        ranks = [bisect.bisect_right(lst, p) - 1 for p in lst]
+        return sum(r * m < q for r in ranks), sum(r * m <= q for r in ranks)
+
+    for n in range(1, k):
+        if h_schedule(n) != h:
+            h = h_schedule(n)
+            # Cells of every row that steps n to 8n - 1 read.
+            cells = cell_indices(x_col[: 8 * n], h).tolist()
+            pairs, sizes, singles, dup = {}, {}, [0, 0], set()
+            for i in range(n):
+                pairs.setdefault(cells[i], []).append((ys[i], ts[i]))
+            for c, lst in pairs.items():
+                lst.sort()
+                if any(map(tuple.__eq__, lst, lst[1:])):
+                    dup.add(c)
+                tally(c, lst, 1)
+        else:
+            lst = pairs.setdefault(cells[n - 1], [])
+            if lst:
+                tally(cells[n - 1], lst, -1)
+            pair = (ys[n - 1], ts[n - 1])
+            i = bisect.bisect_right(lst, pair)
+            if i and lst[i - 1] == pair:
+                dup.add(cells[n - 1])
+            lst.insert(i, pair)
+            tally(cells[n - 1], lst, 1)
+        pair, c = (ys[n], ts[n]), cells[n]
+        lst = pairs.get(c, [])
+        lo, hi = bisect.bisect_left(lst, pair), bisect.bisect_right(lst, pair)
+        a, m = (hi, len(lst)) if lst else (int(ys[n] >= 0), 1)
+        below = singles[0] if a else 0
+        at_or_below = singles[0] + (singles[1] if a == m else 0)
+        for s, cells_of_size in sizes.items():
+            below += cells_of_size * -(-a * (s - 1) // m)
+            at_or_below += cells_of_size * (a * (s - 1) // m + 1)
+        for d in dup:
+            b, e = key_counts(pairs[d], d, a, m)
+            below, at_or_below = below + b, at_or_below + e
+        if lst:
+            b, e = key_counts(lst, c, a, m)
+            below, at_or_below = below - b, at_or_below - e
+        less[n - 1] = lo + below
+        upto[n - 1] = hi + 1 + at_or_below
+    return less, upto

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from functools import partial
 
+import pytest
+
 from cpskit import (
     Observation,
     SAMPLERS,
@@ -79,6 +81,16 @@ def test_criterion_3_online_validity():
     assert 0.88 <= coverage <= 0.92, f"coverage={coverage}"
     assert time.perf_counter() - start < 60.0
     _report(3, "online coverage")
+
+
+@pytest.mark.parametrize("system", ["nn", "hist-conformal"])
+def test_criterion_3_online_validity_at_10k_steps(system):
+    start = time.perf_counter()
+    coverage = online_coverage(system, SAMPLERS["p1"], 10_000, 0.1, SEED)
+    elapsed = time.perf_counter() - start
+    assert 0.88 <= coverage <= 0.92, f"{system}: coverage={coverage}"
+    assert elapsed < 10.0, f"{system}: {elapsed:.1f} s"
+    _report(3, f"online coverage, {system} (coverage {coverage}, {elapsed:.2f} s)")
 
 
 def _random_dataset(st, max_n=30):

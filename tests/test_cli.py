@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cpskit.cli import DataError, _read_training, main
 from cpskit.core import Columns
+from cpskit.harness import SAMPLERS, online_coverage
 
 
 @pytest.fixture
@@ -119,12 +120,14 @@ def test_validate_small_run_passes(capsys):
     assert set(suite) == {"statistic", "threshold", "pass"}
 
 
-def test_validate_online_flag(capsys):
-    code, out = run(capsys, ["validate", "--system", "dh", "--n", "5", "--trials", "500",
+@pytest.mark.parametrize("system", ["dh", "nn", "hist-conformal"])
+def test_validate_online_flag(capsys, system):
+    code, out = run(capsys, ["validate", "--system", system, "--n", "5", "--trials", "500",
                              "--online", "--epsilon", "0.1", "--seed", "424242"])
     assert code == 0
     doc = json.loads(out)
-    assert "online_coverage" in doc["suites"]
+    expected = online_coverage(system, SAMPLERS["p1"], 500, 0.1, 424242)
+    assert doc["suites"]["online_coverage"]["statistic"] == expected
 
 
 def test_validate_too_few_trials_is_usage_error(capsys):

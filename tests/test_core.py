@@ -260,6 +260,15 @@ def test_large_band_validation_names_the_same_violations():
     for case, message in cases:
         with pytest.raises(ValueError, match=message):
             PredictiveBand.from_dict(case)
+    # Violations within VALUE_TOL fail the exact comparisons and are then
+    # accepted invariant by invariant.
+    for case in (
+        changed("lower", 0, -1e-13),
+        changed("upper", 40, 1.0 + 1e-13),
+        changed("at_jump_lower", 7, good["lower"][8] + 1e-13),
+        changed("at_jump_upper", 30, good["upper"][31] + 1e-13),
+    ):
+        PredictiveBand.from_dict(case)
 
 
 def test_band_json_round_trip():

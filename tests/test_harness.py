@@ -135,25 +135,86 @@ def test_online_coverage_rejects_non_conformal():
         online_coverage("hist-mondrian", SAMPLERS["p1"], 100, 0.1, 5)
 
 
-def test_online_coverage_dh_fast_path_matches_the_registry_band():
-    # The online protocol rebuilt step by step from the registry's dh band.
-    p1, steps, seed = SAMPLERS["p1"], 500, 12
+class _TieGridSampler(Sampler):
+    """Predictors on a grid with negatives, so that nearest-neighbour
+    distances tie and draw; responses on a grid with -0.0, 0.0 and negatives,
+    for the sign rule of empty and singleton cells."""
+
+    name = "ties"
+
+    def _make_columns(self, u1, u2):
+        xs = np.linspace(-1.0, 1.0, 9)[(u1 * 9).astype(int)]
+        ys = np.array([-1.0, -0.0, 0.0, 1.0, 2.5])[(u2 * 5).astype(int)]
+        return Columns(xs, ys)
+
+
+ONLINE_SAMPLERS = {"p1": SAMPLERS["p1"], "p3": SAMPLERS["p3"], "ties": _TieGridSampler()}
+
+
+def _online_protocol(sampler, steps, seed):
+    """The online protocol's stream, rows, tie-break numbers and taus."""
     st = derive_stream(seed, [1])
-    cols = p1.columns(st, steps + 1)
-    thetas = st.uniforms(steps + 1)
-    taus = st.uniforms(steps)
+    cols = sampler.columns(st, steps + 1)
+    return st, cols, st.uniforms(steps + 1), st.uniforms(steps)
+
+
+@pytest.mark.parametrize("steps", [8, 64, 512])
+@pytest.mark.parametrize("sampler_id", sorted(ONLINE_SAMPLERS))
+@pytest.mark.parametrize("system", ["dh", "nn", "hist-conformal"])
+def test_online_counts_match_the_registry_band(system, sampler_id, steps):
+    # The online protocol rebuilt step by step from the registry's band.
+    spec, sampler, seed = SYSTEMS[system], ONLINE_SAMPLERS[sampler_id], 12
+    st, cols, thetas, taus = _online_protocol(sampler, steps, seed)
     pits = []
     for n in range(1, steps + 1):
         test = cols.row(n)
-        band = SYSTEMS["dh"].band(cols.head(n), test.x, st, thetas[: n + 1], None)
+        band = spec.band(cols.head(n), test.x, st, thetas[: n + 1], None)
         pits.append(band.evaluate(test.y, float(taus[n - 1])))
+    online_st, cols, thetas, taus = _online_protocol(sampler, steps, seed)
+    less, upto = spec.online(cols, thetas, online_st)
+    assert online_st.draws == st.draws
+    for n, pit in enumerate(pits, start=1):
+        lo, hi = int(less[n - 1]) / (n + 1), int(upto[n - 1]) / (n + 1)
+        assert lo + float(taus[n - 1]) * (hi - lo) == pit, n
     # Besides 0.2, epsilons that put an interval edge exactly on a transform
     # (the halving and 1 - p are exact), where a last-bit difference from
     # the band's value changes the coverage.
-    epsilons = [0.2] + [2 * p if p < 0.5 else 2 * (1 - p) for p in pits[::8]]
+    edges = pits[:: -(-steps // 4)]
+    epsilons = [0.2] + [2 * p if p < 0.5 else 2 * (1 - p) for p in edges]
     for epsilon in epsilons:
         covered = sum(epsilon / 2 <= p <= 1 - epsilon / 2 for p in pits)
-        assert online_coverage("dh", p1, steps, epsilon, seed) == covered / steps, epsilon
+        assert online_coverage(system, sampler, steps, epsilon, seed) == covered / steps, epsilon
+
+
+def _raises_value_error(call):
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# Rows whose nn crossing overflows at step 2 (1.7e308 - -1.7e308), and whose
+# cell index overflows once h halves at step 8 (x = 1e308 at width 0.5).
+ONLINE_ERRORS = {
+    "nn": Columns([0.0, 1.0, 3.0, 0.5, 2.0], [1.7e308, -1.7e308, 0.0, 1.0, 2.0]),
+    "hist-conformal": Columns([0.1, 0.2, 0.3, 1e308, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+                              [0.0, 1.0, -1.0, 2.0, 3.0, 0.5, -0.0, 1.5, 2.5, 0.25]),
+}
+
+
+@pytest.mark.parametrize("system", sorted(ONLINE_ERRORS))
+def test_online_counts_raise_where_the_band_does(system):
+    spec, rows = SYSTEMS[system], ONLINE_ERRORS[system]
+    raised = []
+    for k in range(2, len(rows) + 1):
+        cols, thetas, st = rows.head(k), np.linspace(0.0, 1.0, k), derive_stream(0, [1])
+        steps = lambda: [spec.band(cols.head(n), cols.row(n).x, st, thetas[: n + 1], None)
+                         for n in range(1, k)]
+        online = lambda: spec.online(cols, thetas, derive_stream(0, [1]))
+        raised.append(_raises_value_error(online))
+        assert raised[-1] == _raises_value_error(steps), k
+    assert raised[0] is False and raised[-1] is True
 
 
 def test_online_coverage_generic_path_matches_fast_path_scale():

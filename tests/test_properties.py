@@ -315,3 +315,35 @@ def test_columns_round_trip_in_any_dimension(rows):
                 build(cols, (0.5,) * cols.d)
             with pytest.raises(ValueError, match="scalar predictors required"):
                 build(training, (0.5,) * cols.d)
+
+
+@st.composite
+def online_problems(draw, max_k=24):
+    """(system, rows, tie-break numbers, seed) for the online protocol, with
+    duplicated predictors, responses and tie-break numbers; predictors of
+    dimension 1 to 3 for nn, where +-1e200 makes squared distances
+    overflow to inf."""
+    system = draw(st.sampled_from(["dh", "nn", "hist-conformal"]))
+    d = draw(st.integers(1, 3)) if system == "nn" else 1
+    k = draw(st.integers(2, max_k))
+    coord = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1e200, -1e200]),
+                      st.floats(-3.0, 3.0))
+    xs = draw(st.lists(st.tuples(*[coord] * d), min_size=k, max_size=k))
+    ys = draw(st.lists(st.one_of(st.sampled_from(RESPONSE_POOL[:5]), responses),
+                       min_size=k, max_size=k))
+    theta = draw(st.lists(thetas, min_size=k, max_size=k))
+    return system, Columns(xs, ys), np.array(theta), draw(st.integers(0, 3))
+
+
+@SETTINGS
+@given(online_problems())
+def test_online_counts_are_the_band_at_every_step(problem):
+    system, rows, theta, seed = problem
+    spec = SYSTEMS[system]
+    band_stream, online_stream = derive_stream(seed, [1]), derive_stream(seed, [1])
+    less, upto = spec.online(rows, theta, online_stream)
+    for n in range(1, len(rows)):
+        test = rows.row(n)
+        band = spec.band(rows.head(n), test.x, band_stream, theta[: n + 1], None)
+        assert band_pair(band, test.y) == (less[n - 1] / (n + 1), upto[n - 1] / (n + 1)), n
+    assert band_stream.draws == online_stream.draws
