@@ -273,28 +273,30 @@ def nn_band(
     xq = np.array(Observation(x, 0.0).x)
     if len(xq) != cols.d:
         raise ValueError(f"x has dimension {len(xq)}, training predictors have {cols.d}")
-    to_test = _sq_dists(xs, xq[None, :])[:, 0]
-    y_hat = _pick_response(ys[to_test == to_test.min()].tolist(), stream)
-    crossings = np.empty(n)
-    block = max(1, _NN_BLOCK_DISTANCES // n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dist = _sq_dists(xs[lo:hi], xs)
-        rows = np.arange(hi - lo)
-        dist[rows, rows + lo] = np.inf  # a point is not its own neighbour
-        min_other = dist.min(axis=1)
-        y = ys[lo:hi]
-        # Halving first keeps the midpoint finite for any two finite
-        # responses; halving normal doubles is exact, so elsewhere this
-        # equals (y_hat + y) / 2.
-        crossings[lo:hi] = y_hat / 2.0 + y / 2.0
-        # Rows no nearer to x than to another training point: residual crossings.
-        far = np.flatnonzero(to_test[lo:hi] >= min_other)
-        nearest = dist[far] == min_other[far, None]
-        y_nn = ys[nearest.argmax(axis=1)]
-        for k in np.flatnonzero(nearest.sum(axis=1) > 1):
-            y_nn[k] = _pick_response(ys[nearest[k]].tolist(), stream)
-        with np.errstate(over="ignore"):  # an infinite crossing fails validation
+    # A squared distance may overflow to inf, which still compares exactly;
+    # an infinite crossing fails validation.
+    with np.errstate(over="ignore"):
+        to_test = _sq_dists(xs, xq[None, :])[:, 0]
+        y_hat = _pick_response(ys[to_test == to_test.min()].tolist(), stream)
+        crossings = np.empty(n)
+        block = max(1, _NN_BLOCK_DISTANCES // n)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            dist = _sq_dists(xs[lo:hi], xs)
+            rows = np.arange(hi - lo)
+            dist[rows, rows + lo] = np.inf  # a point is not its own neighbour
+            min_other = dist.min(axis=1)
+            y = ys[lo:hi]
+            # Halving first keeps the midpoint finite for any two finite
+            # responses; halving normal doubles is exact, so elsewhere this
+            # equals (y_hat + y) / 2.
+            crossings[lo:hi] = y_hat / 2.0 + y / 2.0
+            # Rows no nearer to x than to another training point: residual crossings.
+            far = np.flatnonzero(to_test[lo:hi] >= min_other)
+            nearest = dist[far] == min_other[far, None]
+            y_nn = ys[nearest.argmax(axis=1)]
+            for k in np.flatnonzero(nearest.sum(axis=1) > 1):
+                y_nn[k] = _pick_response(ys[nearest[k]].tolist(), stream)
             crossings[lo + far] = y_hat + (y[far] - y_nn)
     return _rank_band(crossings)
 
@@ -314,33 +316,35 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
     near, y_nn = np.full(k, np.inf), ys.copy()
     tied: dict[int, list[float]] = {}
     less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
-    for n in range(1, k):
-        to_test = _sq_dists(xs[:n], xs[n : n + 1])[:, 0]
-        y, y_test, nearest = ys[:n], responses[n], to_test.min()
-        at_nearest = to_test == nearest
-        y_hat = _pick_response(y[at_nearest].tolist(), stream)
-        with np.errstate(over="ignore"):  # only crossings in use must be finite
+    # Distances may overflow to inf as in ``nn_band``; only the crossings in
+    # use must be finite.
+    with np.errstate(over="ignore"):
+        for n in range(1, k):
+            to_test = _sq_dists(xs[:n], xs[n : n + 1])[:, 0]
+            y, y_test, nearest = ys[:n], responses[n], to_test.min()
+            at_nearest = to_test == nearest
+            y_hat = _pick_response(y[at_nearest].tolist(), stream)
             crossings = np.where(to_test < near[:n], y_hat / 2.0 + y / 2.0,
                                  y_hat + (y - y_nn[:n]))
             for i in sorted(tied):
                 if to_test[i] >= near[i]:
                     crossings[i] = y_hat + (y[i] - _pick_response(tied[i], stream))
-        if not np.isfinite(crossings).all():
-            raise ValueError(f"a nearest-neighbour crossing overflows at step {n}")
-        less[n - 1] = np.count_nonzero(crossings < y_test)
-        upto[n - 1] = np.count_nonzero(crossings <= y_test) + 1
-        for i in np.flatnonzero(to_test <= near[:n]).tolist():
-            if to_test[i] < near[i]:
-                near[i], y_nn[i] = to_test[i], y_test
-                tied.pop(i, None)
-            else:
-                tied.setdefault(i, [float(y_nn[i])]).append(y_test)
-        hits = np.flatnonzero(at_nearest).tolist()
-        if nearest == np.inf:
-            hits.append(n)
-        near[n], y_nn[n] = nearest, responses[hits[0]]
-        if len(hits) > 1:
-            tied[n] = [responses[i] for i in hits]
+            if not np.isfinite(crossings).all():
+                raise ValueError(f"a nearest-neighbour crossing overflows at step {n}")
+            less[n - 1] = np.count_nonzero(crossings < y_test)
+            upto[n - 1] = np.count_nonzero(crossings <= y_test) + 1
+            for i in np.flatnonzero(to_test <= near[:n]).tolist():
+                if to_test[i] < near[i]:
+                    near[i], y_nn[i] = to_test[i], y_test
+                    tied.pop(i, None)
+                else:
+                    tied.setdefault(i, [float(y_nn[i])]).append(y_test)
+            hits = np.flatnonzero(at_nearest).tolist()
+            if nearest == np.inf:
+                hits.append(n)
+            near[n], y_nn[n] = nearest, responses[hits[0]]
+            if len(hits) > 1:
+                tied[n] = [responses[i] for i in hits]
     return less, upto
 
 
@@ -402,12 +406,14 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sorted ``histogram_score`` keys of points with cells ``c``, responses
     ``y`` and tie-break numbers ``t``, each scored within its own cell.
 
-    A point's key is its rank ``a`` (cell mates, itself included, whose
-    ``(y, t)`` pair is <= its own, less one) over ``N = cell size - 1``, or
-    the sign rule when ``N = 0``, divided as ``histogram_score`` divides.
-    The points are sorted by ``(cell, y)`` through one key of dense ranks,
-    below ``len(c) ** 2``; when ``y`` has ties, each run of equal
-    ``(cell, y)`` is then ordered by ``t``.
+    ``hcps_band`` keys only the cells that hold a repeated ``(y, t)`` pair
+    this way; it counts every other cell from its size.  A point's key is
+    its rank ``a`` (cell mates, itself included, whose ``(y, t)`` pair is <=
+    its own, less one) over ``N = cell size - 1``, or the sign rule when
+    ``N = 0``, divided as ``histogram_score`` divides.  The points are sorted
+    by ``(cell, y)`` through one key of dense ranks, below ``len(c) ** 2``;
+    when ``y`` has ties, each run of equal ``(cell, y)`` is then ordered by
+    ``t``.
     """
     rc, _ = _dense_ranks(c)
     ry, ky = _dense_ranks(y)
@@ -435,6 +441,64 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sort(np.where(mates > 0, rank, y >= 0) / np.maximum(mates, 1))
 
 
+# The size counts take the (cell sizes x keys) products in blocks of about
+# 2**20 entries (8 MB), so that memory does not grow as their product.
+_HCPS_BLOCK_COUNTS = 1 << 20
+
+
+def _out_of_cell_counts(c, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """How many of the keys of the points with cells ``c``, responses ``y``
+    and tie-break numbers ``t``, each scored within its own cell, lie below
+    ``a / m`` and at or below it, as two int64 arrays indexed by
+    ``a = 0..m``.
+
+    A cell of ``N + 1 >= 2`` points without a repeated ``(y, t)`` pair holds
+    the keys ``r / N``, ``r = 0..N``: ``ceil(a * N / m)`` of them lie below
+    ``a / m`` and ``floor(a * N / m) + 1`` at or below it, so these cells are
+    counted once per distinct size.  A singleton's key is 1 when ``y >= 0``
+    (``-0.0`` included) and 0 otherwise.  A repeated pair needs a repeated
+    ``t``; only the cells holding one are keyed by ``_cell_rank_keys`` and
+    counted by binary search.
+    """
+    a = np.arange(m + 1)
+    below, upto = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
+    ts = np.sort(t)
+    repeated = ts[1:][ts[1:] == ts[:-1]]
+    if len(repeated):
+        # Cells with a repeated (y, t) pair, among the points whose t repeats.
+        pick = np.isin(t, repeated)
+        pc, py, pt = c[pick], y[pick], t[pick]
+        order = np.lexsort((pt, py, pc))
+        pc, py, pt = pc[order], py[order], pt[order]
+        pair_cells = pc[1:][(pc[1:] == pc[:-1]) & (py[1:] == py[:-1]) & (pt[1:] == pt[:-1])]
+        if len(pair_cells):
+            ranked = np.isin(c, pair_cells)
+            keys = _cell_rank_keys(c[ranked], y[ranked], t[ranked])
+            below += keys.searchsorted(a / m)
+            upto += keys.searchsorted(a / m, "right")
+            c, y = c[~ranked], y[~ranked]
+    order = c.argsort()
+    cs = c[order]
+    bounds = np.ones(len(c) + 1, dtype=bool)
+    np.not_equal(cs[1:], cs[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    sizes = np.diff(bounds)
+    ones = np.count_nonzero(y[order[bounds[:-1][sizes == 1]]] >= 0)
+    cells_of_size = np.bincount(sizes, minlength=2)
+    zeros = cells_of_size[1] - ones
+    below[1:] += zeros
+    upto += zeros
+    upto[m] += ones
+    s = np.flatnonzero(cells_of_size[2:]) + 2
+    w = cells_of_size[s]
+    block = max(1, _HCPS_BLOCK_COUNTS // max(len(s), 1))
+    for lo in range(0, len(a), block):
+        q = (s[:, None] - 1) * a[None, lo : lo + block]  # a * N <= n**2
+        below[lo : lo + block] += w @ ((q + (m - 1)) // m)
+        upto[lo : lo + block] += w @ (q // m)
+    return below, upto + w.sum()
+
+
 def hcps_band(
     training: Sequence[Observation] | Columns,
     x,
@@ -458,15 +522,21 @@ def hcps_band(
     ``v``, the candidate scores ``(B + #{theta_i <= theta_cand in G}) / m``;
     the points below ``v`` and those of ``G`` with a smaller ``theta`` score
     less, and those of ``G`` with an equal ``theta`` tie.  Scores outside
-    the test cell do not depend on ``y`` and are counted by binary search.
+    the test cell do not depend on ``y``, and neither do their counts below
+    and at or below each candidate key ``a / m``.
 
-    Score keys are the doubles ``a / N``, compared as floats, and they
-    compare exactly as the rationals do.  Integer division is correctly
-    rounded, so equal rationals (``1/2`` and ``2/4``) give the same double.
-    Distinct ones with denominators at most ``2**26`` differ by at least
-    ``2**-52``, more than the spacing of doubles in ``[0, 1]``, so they
-    round to distinct doubles in the same order.  ``histogram_score``
-    divides the same integers the same way, and ``N <= n``.
+    Those counts are exact integer comparisons: a cell of ``N + 1`` points
+    without a repeated ``(y, theta)`` pair holds the keys ``r / N``, and
+    ``r / N < a / m`` exactly when ``r * m < a * N``.  As ``a * N <= n**2``,
+    this holds in int64 for ``n`` below about ``3 * 10**9``.  Only cells with
+    a repeated pair, which tied tie-break numbers alone can give, are keyed
+    as doubles ``a / N`` and counted by binary search.  These compare exactly
+    as the rationals do: integer division is correctly rounded, so equal
+    rationals (``1/2`` and ``2/4``) give the same double, and distinct ones
+    with denominators at most ``2**26`` differ by at least ``2**-52``, more
+    than the spacing of doubles in ``[0, 1]``, so they round to distinct
+    doubles in the same order.  ``histogram_score`` divides the same
+    integers the same way, and ``N <= n``.
     """
     n = len(training)
     if n < 1:
@@ -482,29 +552,30 @@ def hcps_band(
     cells, c_test = _cells(cols, x)
     in_test = cells == c_test
     theta_cand = thetas[n]
-    den = n + 1
-    out = ~in_test
-    out_keys = _cell_rank_keys(cells[out], cols.ys[out], thetas[:n][out])
-
-    def band_values(less, tied, key):
-        lo = less + out_keys.searchsorted(key)
-        return lo / den, (less + tied + 1 + out_keys.searchsorted(key, "right")) / den
-
     yc, tc = cols.ys[in_test], thetas[:n][in_test]
     m = len(yc)
+    # In-cell points below the candidate and tied with it, and the
+    # candidate's key a / m: on the plateaus, then at the jumps.
     if m:
         jumps, below = _group(yc)
         tc = tc[yc.argsort()]
         starts = below[:-1]
-        less_g = np.add.reduceat(tc < theta_cand, starts)
-        tied_g = np.add.reduceat(tc == theta_cand, starts)
-        p0, p1 = band_values(below, 0, below / m)
-        a0, a1 = band_values(starts + less_g, tied_g, (starts + less_g + tied_g) / m)
+        less = np.concatenate((below, starts + np.add.reduceat(tc < theta_cand, starts)))
+        tied = np.concatenate(
+            (np.zeros(len(below), dtype=np.int64), np.add.reduceat(tc == theta_cand, starts))
+        )
+        a = less + tied
     else:
         # Empty test cell: the candidate scores by the sign rule alone.
-        jumps = np.zeros(1)
-        p0, p1 = band_values(np.zeros(2, dtype=np.int64), 0, np.array([0.0, 1.0]))
-        a0, a1 = band_values(np.zeros(1, dtype=np.int64), 0, np.ones(1))
+        jumps, less, tied, a = np.zeros(1), np.zeros(3, dtype=np.int64), 0, np.array([0, 1, 1])
+    out = ~in_test
+    out_below, out_upto = _out_of_cell_counts(
+        cells[out], cols.ys[out], thetas[:n][out], max(m, 1)
+    )
+    den = n + 1
+    lo, hi = (less + out_below[a]) / den, (less + tied + 1 + out_upto[a]) / den
+    p0, a0 = lo[: len(jumps) + 1], lo[len(jumps) + 1 :]
+    p1, a1 = hi[: len(jumps) + 1], hi[len(jumps) + 1 :]
     # A jump across which nothing changes merges its two plateaus.
     keep = ~(
         (p0[:-1] == p0[1:]) & (p1[:-1] == p1[1:]) & (a0 == p0[1:]) & (a1 == p1[1:])

@@ -1,12 +1,14 @@
 """Transducers, taxonomies, and band constructors."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
 from cpskit import (
+    Columns,
     Observation,
     cell_index,
     conformal_pvalue,
@@ -24,7 +26,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
-from cpskit.transducers import _cell_rank_keys, _group
+from cpskit.transducers import _cell_rank_keys, _group, nn_online
 
 TOL = 1e-12
 
@@ -408,6 +410,17 @@ def test_nn_band_midpoints_near_largest_double_stay_finite():
     assert list(band.jumps) == [1.6e308, 1.7e308]
 
 
+def test_nn_distances_that_overflow_warn_of_nothing():
+    # Squared distances of coordinates +-1e200 overflow to inf, which compares
+    # exactly, so numpy's overflow warning would only be noise.
+    training = [obs((1e200, 0.0), 1.0), obs((-1e200, 0.0), 2.0), obs((0.0, 1.0), 3.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nn_band(training, (1e200, 1.0), derive_stream(0, [0]))
+        nn_online(Columns.from_observations(training + [obs((0.0, -1e200), 4.0)]),
+                  derive_stream(0, [0]))
+
+
 # --- sorting without stable sorts -----------------------------------------------
 
 
@@ -482,3 +495,115 @@ def test_hcps_band_on_tied_inputs_matches_the_lexsort_keys(n, monkeypatch):
     bands = [hcps_band(columns, 0.3, thetas=thetas).to_json() for columns, thetas in cases]
     monkeypatch.setattr(transducers, "_cell_rank_keys", _cell_rank_keys_lexsort)
     assert bands == [hcps_band(columns, 0.3, thetas=thetas).to_json() for columns, thetas in cases]
+
+
+# --- hist-conformal bands from cell sizes ---------------------------------------
+
+
+def _hcps_band_sorting_every_key(columns, x, thetas):
+    """hcps_band as it was computed before out-of-cell points were counted
+    from cell sizes: every out-of-cell key from ``_cell_rank_keys``, as a
+    double, counted by binary search."""
+    import cpskit.transducers as transducers
+
+    n = len(columns)
+    cells, c_test = transducers._cells(columns, x)
+    in_test = cells == c_test
+    theta_cand, den, out = thetas[n], n + 1, ~in_test
+    out_keys = _cell_rank_keys(cells[out], columns.ys[out], thetas[:n][out])
+
+    def band_values(less, tied, key):
+        lo = less + out_keys.searchsorted(key)
+        return lo / den, (less + tied + 1 + out_keys.searchsorted(key, "right")) / den
+
+    yc, tc = columns.ys[in_test], thetas[:n][in_test]
+    m = len(yc)
+    if m:
+        jumps, below = _group(yc)
+        tc = tc[yc.argsort()]
+        starts = below[:-1]
+        less_g = np.add.reduceat(tc < theta_cand, starts)
+        tied_g = np.add.reduceat(tc == theta_cand, starts)
+        p0, p1 = band_values(below, 0, below / m)
+        a0, a1 = band_values(starts + less_g, tied_g, (starts + less_g + tied_g) / m)
+    else:
+        jumps = np.zeros(1)
+        p0, p1 = band_values(np.zeros(2, dtype=np.int64), 0, np.array([0.0, 1.0]))
+        a0, a1 = band_values(np.zeros(1, dtype=np.int64), 0, np.ones(1))
+    keep = ~((p0[:-1] == p0[1:]) & (p1[:-1] == p1[1:]) & (a0 == p0[1:]) & (a1 == p1[1:]))
+    plateaus = np.concatenate(([True], keep))
+    return transducers.PredictiveBand._adopt(
+        jumps[keep], p0[plateaus], p1[plateaus], a0[keep], a1[keep]
+    )
+
+
+def _hcps_size_count_cases(n, rng):
+    """Training columns, test predictors and tie-break numbers: uniform and
+    skewed predictors (``50 * u**4`` leaves many cells of a few points),
+    three singleton cells with responses -0.0, 0.0 and -2.0, continuous and
+    tied responses, distinct tie-break numbers and ones tied only in the
+    cells left of 0.1, and test predictors in a filled and in an empty cell."""
+    for skew in (False, True):
+        u = rng.random(n)
+        xs = 50 * u**4 if skew else u.copy()
+        xs[-3:] = [1000.0, 1007.0, 1014.0]
+        for tied_ys in (False, True):
+            ys = 2 * u + rng.choice([-1.0, 1.0], n)
+            if tied_ys:
+                ys = np.round(ys, 1)
+            ys[-3:] = [-0.0, 0.0, -2.0]
+            columns = Columns(xs, ys)
+            thetas = rng.random(n + 1)
+            for tied_thetas in (False, True):
+                if tied_thetas:
+                    thetas = thetas.copy()
+                    left = np.flatnonzero(xs < 0.1)
+                    thetas[left] = rng.choice([0.25, 0.5], len(left))
+                for x in (float(xs[0]), 500.5):
+                    yield columns, x, thetas
+
+
+@pytest.mark.parametrize("n, block", [(2000, 64), (20000, None)])
+def test_hcps_band_counts_from_cell_sizes_match_sorting_every_key(n, block, monkeypatch):
+    import cpskit.transducers as transducers
+
+    if block is not None:  # many blocks of the (cell sizes x keys) products
+        monkeypatch.setattr(transducers, "_HCPS_BLOCK_COUNTS", block)
+    for columns, x, thetas in _hcps_size_count_cases(n, np.random.default_rng(n)):
+        want = _hcps_band_sorting_every_key(columns, x, thetas)
+        assert hcps_band(columns, x, thetas=thetas).to_json() == want.to_json()
+
+
+def test_hcps_band_ranks_only_the_cells_with_a_repeated_pair(monkeypatch):
+    import cpskit.transducers as transducers
+
+    n = 2000
+    stream = derive_stream(3, [0])
+    u = stream.uniforms(n)
+    columns = Columns(u, 2 * u + np.where(stream.uniforms(n) < 0.5, -1.0, 1.0))
+    thetas = stream.uniforms(n + 1)
+    want = _hcps_band_sorting_every_key(columns, 0.9, thetas)
+
+    def refuse(c, y, t):
+        raise AssertionError("a cell without a repeated pair was ranked")
+
+    monkeypatch.setattr(transducers, "_cell_rank_keys", refuse)
+    assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
+
+    # Two rows of the cell [0, 1/8) now share one (y, theta) pair: that cell
+    # alone is ranked, and the test cell holds 0.9.
+    i, j = np.flatnonzero(columns.xs[:, 0] < 0.125)[:2]
+    ys = columns.ys.copy()
+    ys[j], thetas[j] = ys[i], thetas[i]
+    columns = Columns(columns.xs, ys)
+    want = _hcps_band_sorting_every_key(columns, 0.9, thetas)
+    seen = []
+
+    def spy(c, y, t):
+        seen.append(c)
+        return _cell_rank_keys(c, y, t)
+
+    monkeypatch.setattr(transducers, "_cell_rank_keys", spy)
+    assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
+    (cells,) = seen
+    assert cells.tolist() == [0.0] * np.count_nonzero(columns.xs[:, 0] < 0.125)
