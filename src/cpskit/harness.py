@@ -126,7 +126,8 @@ class NoisyLineSampler(Sampler):
         return Columns(u1, 2.0 * u1 + np.where(u2 < 0.5, -1.0, 1.0))
 
     def conditional_mean(self, f, x):
-        return float((f.fn(2.0 * x - 1.0) + f.fn(2.0 * x + 1.0)) / 2.0)
+        below, above = f.fn(np.array([2.0 * x - 1.0, 2.0 * x + 1.0]))
+        return float((below + above) / 2.0)
 
 
 class IndependentSampler(Sampler):
@@ -157,7 +158,8 @@ class BernoulliSampler(Sampler):
         return Columns(u1, np.where(u2 < u1, 1.0, 0.0))
 
     def conditional_mean(self, f, x):
-        return float((1.0 - x) * f.fn(0.0) + x * f.fn(1.0))
+        at_0, at_1 = f.fn(np.array([0.0, 1.0]))
+        return float((1.0 - x) * at_0 + x * at_1)
 
 
 SAMPLERS: dict[str, Sampler] = {
@@ -292,7 +294,8 @@ def ks_uniform(values: Sequence[float]) -> float:
     if len(values) == 0:
         raise ValueError("ks_uniform needs at least one value")
     vs = sorted(float(v) for v in values)
-    if vs[0] < 0.0 or vs[-1] > 1.0:
+    # Read every value: a NaN leaves the sorted list unordered.
+    if not all(0.0 <= v <= 1.0 for v in vs):
         raise ValueError("values must lie in [0, 1]")
     m = len(vs)
     d = 0.0
@@ -475,7 +478,9 @@ def venn_calibration(
     is evaluated on ``y_grid`` and compared, in mean, with the empirical law
     of the test response.  For binary samplers the predicted positive
     probability ``p = 1 - Q(0)`` is additionally grouped exactly, recording
-    the positive frequency among trials sharing each ``p``.
+    the positive frequency among trials sharing each ``p``.  Each trial draws
+    its ``n + 1`` rows as ``Columns``, so ``taxonomy`` labels ``Columns``, as
+    ``histogram_taxonomy`` does (see ``venn_distribution``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -486,10 +491,9 @@ def venn_calibration(
     emp = [0] * len(grid)
     by_p: dict[float, list[int]] = {}
     for t in range(trials):
-        st = derive_stream(seed, [3, t])
-        obs = sampler.draw(st, n + 1)
-        test = obs[n]
-        band = venn_distribution(taxonomy, obs[:n], test.x, test.y)
+        cols = sampler.columns(derive_stream(seed, [3, t]), n + 1)
+        test = cols.row(n)
+        band = venn_distribution(taxonomy, cols.head(n), test.x, test.y)
         for k, y in enumerate(grid):
             mean_q[k] += band.evaluate(y, 0.0)
             if test.y <= y:

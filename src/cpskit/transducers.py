@@ -21,6 +21,7 @@ below it, the candidate's included): the step's band takes the values
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
 import numpy as np
@@ -240,8 +241,9 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Summed over columns left to right, as ``_sq_dist`` sums them, so that
     distances equal there are equal here.
     """
-    out = np.zeros((len(a), len(b)))
-    for k in range(a.shape[1]):
+    out = a[:, 0, None] - b[None, :, 0]
+    out *= out
+    for k in range(1, a.shape[1]):
         diff = a[:, k, None] - b[None, :, k]
         out += diff * diff
     return out
@@ -301,50 +303,186 @@ def nn_band(
     return _rank_band(crossings)
 
 
+# ``nn_online`` takes its steps in blocks of at most 64 steps and about 2**17
+# distances (1 MB), so that memory does not grow as steps**2.  Larger blocks
+# were measured no faster.  While the training rows are few, a long block
+# changes the nearest rows of most of them, and the running minimum then
+# covers most rows.  In a fresh process, blocks of 2**20 distances made
+# 10^4 steps take 0.63 s instead of 0.40 s on a 2-vCPU shared host, with
+# 7 times the page faults.
+_NN_ONLINE_BLOCK_DISTANCES = 1 << 17
+_NN_ONLINE_BLOCK_STEPS = 64
+
+
 def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Online counts of ``nn_band``, from per-row nearest-neighbour state.
+    """Online counts of ``nn_band``, from per-row nearest-neighbour state,
+    a block of steps at a time.
 
     Row ``i`` keeps ``near[i]``, its squared distance to its nearest other
     rows so far (inf, itself included, while none is nearer, as in
-    ``nn_band``'s distance rows), the first one's response, and in ``tied``
-    all their responses when there are several.  Each step's distances from
-    the test row, as ``nn_band`` computes them, give its crossings and then
-    update the state.  Ties draw from ``stream`` as ``nn_band`` draws.
+    ``nn_band``'s distance rows), ``first[i]``, the first of them, and in
+    ``tied`` all their responses when there are several.  A block takes the
+    distances from all its test rows to all earlier rows at once.  A row
+    changes state within the block only at a distance at or below its
+    ``near``, and draws only while it has ties; for such rows the running
+    minimum over the block's steps gives the state before each step (the
+    last strictly nearer test row is the first nearest, and the equally near
+    ones since then are its ties).  Every other row keeps its state.  Ties
+    draw from ``stream`` as ``nn_band`` draws, step by step, the estimate
+    first and then the rows in index order; the draws are the only events
+    taken one at a time.
     """
     xs, ys, k = training.xs, training.ys, len(training)
     responses = ys.tolist()
-    near, y_nn = np.full(k, np.inf), ys.copy()
+    near, first = np.full(k, np.inf), np.arange(k)
     tied: dict[int, list[float]] = {}
     less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
+    s = 1
     # Distances may overflow to inf as in ``nn_band``; only the crossings in
     # use must be finite.
     with np.errstate(over="ignore"):
-        for n in range(1, k):
-            to_test = _sq_dists(xs[:n], xs[n : n + 1])[:, 0]
-            y, y_test, nearest = ys[:n], responses[n], to_test.min()
-            at_nearest = to_test == nearest
-            y_hat = _pick_response(y[at_nearest].tolist(), stream)
-            crossings = np.where(to_test < near[:n], y_hat / 2.0 + y / 2.0,
-                                 y_hat + (y - y_nn[:n]))
-            for i in sorted(tied):
-                if to_test[i] >= near[i]:
-                    crossings[i] = y_hat + (y[i] - _pick_response(tied[i], stream))
-            if not np.isfinite(crossings).all():
-                raise ValueError(f"a nearest-neighbour crossing overflows at step {n}")
-            less[n - 1] = np.count_nonzero(crossings < y_test)
-            upto[n - 1] = np.count_nonzero(crossings <= y_test) + 1
-            for i in np.flatnonzero(to_test <= near[:n]).tolist():
-                if to_test[i] < near[i]:
-                    near[i], y_nn[i] = to_test[i], y_test
-                    tied.pop(i, None)
-                else:
-                    tied.setdefault(i, [float(y_nn[i])]).append(y_test)
-            hits = np.flatnonzero(at_nearest).tolist()
-            if nearest == np.inf:
-                hits.append(n)
-            near[n], y_nn[n] = nearest, responses[hits[0]]
-            if len(hits) > 1:
-                tied[n] = [responses[i] for i in hits]
+        while s < k:
+            # Steps s..e-1 against rows 0..m-1, m = e-1: the most steps whose
+            # (steps x rows) distances fit the bound.
+            size = (math.isqrt((s - 1) ** 2 + 4 * _NN_ONLINE_BLOCK_DISTANCES) - s + 1) // 2
+            e = min(k, s + max(1, min(size, _NN_ONLINE_BLOCK_STEPS)))
+            steps, m, at = np.arange(s, e), e - 1, np.arange(e - s)
+            dist = _sq_dists(xs[s:e], xs[:m])
+            # Rows at or after a step do not train it.
+            later = ~np.tri(e - s, m - s, -1, dtype=bool)
+            np.copyto(dist[:, s:], np.inf, where=later)
+            hit = dist.argmin(axis=1)
+            nearest = dist[at, hit]
+            dist[at, hit] = np.inf
+            second = dist.min(axis=1)
+            dist[at, hit] = nearest
+            overflow = nearest == np.inf
+            # Whether the estimate draws, and whether the test row joins the
+            # training rows with several nearest rows (itself among them when
+            # they are at inf).
+            several = np.where(overflow, steps > 1, second == nearest)
+            joins_tied = several | overflow
+            near[s:e], first[s:e] = nearest, hit
+
+            # ``rows``: those that may change state or draw in the block.
+            moves = (dist <= near[:m]).any(axis=0)
+            moves[list(tied)] = True
+            moves[s:] |= joins_tied[:-1]
+            rows = np.flatnonzero(moves)
+            sub = dist[:, rows]
+            run = np.empty((e - s + 1, len(rows)))
+            run[0], run[1:] = near[rows], sub
+            np.minimum.accumulate(run, axis=0, out=run)
+            trains = rows < steps[:, None]
+            closer, even = sub < run[:-1], (sub == run[:-1]) & trains
+            # One past the last step whose test row was strictly nearer, or
+            # 0, and so the first nearest row, before each step and after the
+            # block.
+            since = np.zeros((e - s + 1, len(rows)), dtype=np.intp)
+            np.multiply(closer, at[:, None] + 1, out=since[1:])
+            np.maximum.accumulate(since, axis=0, out=since)
+            first_rows = np.where(since > 0, s - 1 + since, first[rows])
+            residual = ys[:m] - ys[first[:m]]
+            rows_residual = ys[rows] - ys[first_rows[:-1]]
+            y_hat = ys[hit]
+
+            def crossings_at(b):
+                """Crossings of the steps ``s + b`` (an index array), NaN
+                where a row does not train the step."""
+                yh = y_hat[b, None]
+                out = yh + residual
+                out[:, rows] = yh + rows_residual[b]
+                cb, cj = np.nonzero(closer[b])
+                # Halving first keeps the midpoint finite, as in ``nn_band``.
+                out[cb, rows[cj]] = yh[cb, 0] / 2.0 + ys[rows[cj]] / 2.0
+                np.copyto(out[:, s:], np.nan, where=later[b])
+                return out
+
+            def joined(i):
+                """Responses of the nearest rows of row ``i`` as it joins."""
+                j = i - s
+                itself = [responses[i]] if overflow[j] else []
+                return ys[:i][dist[j, :i] == nearest[j]].tolist() + itself
+
+            # ``ties``: the rows that may hold several nearest rows, with
+            # those they hold as the block starts, and how many they hold
+            # before each step and after the block.
+            held = {j: tied.pop(i) if i < s else joined(i) for j, i in enumerate(rows.tolist())
+                    if i in tied or i >= s and joins_tied[i - s]}
+            tying = even.any(axis=0)
+            tying[list(held)] = True
+            ties = np.flatnonzero(tying)
+            since_tied = since[:, ties]
+            evens_before = np.zeros((e - s + 1, len(ties)), dtype=np.intp)
+            np.cumsum(even[:, ties], axis=0, out=evens_before[1:])
+            base = np.array([len(held.get(j, ())) or 1 for j in ties.tolist()], dtype=np.intp)
+            count = (np.where(since_tied > 0, 1, base) + evens_before
+                     - np.take_along_axis(evens_before, since_tied, axis=0))
+            # Their nearest rows, brought up to date as the draws come in
+            # step order: since the last reset, the equally near test rows.
+            tie_rows = rows[ties].tolist()
+            lists = [held.get(j) or [responses[first[i]]] for j, i in zip(ties.tolist(), tie_rows)]
+            listed_since, listed = [0] * len(ties), [0] * len(ties)
+            even_steps = {}
+
+            def nearest_of(b, t, first_step):
+                """Responses of the nearest rows of ``tie_rows[t]`` before step
+                ``s + b``, when the test rows that tie with it start at step
+                ``s + first_step``."""
+                if t not in even_steps:
+                    even_steps[t] = np.flatnonzero(even[:, ties[t]]).tolist()
+                u = even_steps[t]
+                if first_step != listed_since[t]:
+                    listed_since[t] = first_step
+                    lists[t] = [responses[s + first_step - 1]]
+                    listed[t] = bisect.bisect_left(u, first_step)
+                while listed[t] < len(u) and u[listed[t]] < b:
+                    lists[t].append(responses[s + u[listed[t]]])
+                    listed[t] += 1
+                return lists[t]
+
+            crossings = crossings_at(at)
+            bad = np.isinf(crossings).any(axis=1)
+            draws = (count[:-1] > 1) & ~closer[:, ties] & trains[:, ties]
+            draw_steps, draw_ties = np.nonzero(draws)
+            event = several.copy()
+            event[draw_steps] = True
+            event_steps = np.flatnonzero(event).tolist()
+            bounds = np.searchsorted(draw_steps, event_steps + [e - s]).tolist()
+            draw_ties = draw_ties.tolist()
+            for b, lo, hi in zip(event_steps, bounds, bounds[1:]):
+                # A step draws only once the earlier ones passed the check.
+                if bad[:b].any():
+                    break
+                if several[b]:
+                    n = s + b
+                    y_hat[b] = _pick_response(ys[:n][dist[b, :n] == nearest[b]].tolist(), stream)
+                    crossings[b] = crossings_at(np.array([b]))
+                yh, first_steps = float(y_hat[b]), since_tied[b].tolist()
+                drawn = draw_ties[lo:hi]
+                crossings[b, [tie_rows[t] for t in drawn]] = [
+                    yh + (responses[tie_rows[t]]
+                          - _pick_response(nearest_of(b, t, first_steps[t]), stream))
+                    for t in drawn
+                ]
+                bad[b] = np.isinf(crossings[b]).any()
+            if bad.any():
+                raise ValueError(
+                    f"a nearest-neighbour crossing overflows at step {s + int(bad.argmax())}"
+                )
+            # Bytes summed in uint32 count faster than booleans in int64.
+            y_test = ys[s:e, None]
+            below = (crossings < y_test).view(np.uint8)
+            at_or_below = (crossings <= y_test).view(np.uint8)
+            less[s - 1 : e - 1] = np.add.reduce(below, axis=1, dtype=np.uint32)
+            upto[s - 1 : e - 1] = np.add.reduce(at_or_below, axis=1, dtype=np.uint32) + 1
+            near[rows], first[rows] = run[-1], first_rows[-1]
+            first_steps = since_tied[-1].tolist()
+            for t in np.flatnonzero(count[-1] > 1).tolist():
+                tied[tie_rows[t]] = nearest_of(e - s, t, first_steps[t])
+            if joins_tied[-1]:
+                tied[e - 1] = joined(e - 1)
+            s = e
     return less, upto
 
 

@@ -98,6 +98,14 @@ def test_ks_uniform_examples():
         ks_uniform([0.2, 1.4])
 
 
+@pytest.mark.parametrize("values", [[0.5, math.nan], [math.nan], [math.nan, 0.5, 0.25]])
+def test_ks_uniform_rejects_nan(values):
+    # A NaN anywhere leaves the sorted values unordered, so their ends alone
+    # do not show it.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ks_uniform(values)
+
+
 def test_pit_sample_basics():
     p1 = SAMPLERS["p1"]
     single = pit_sample("dh", p1, 5, 1, 7)
@@ -186,6 +194,16 @@ def test_online_counts_match_the_registry_band(system, sampler_id, steps):
         assert online_coverage(system, sampler, steps, epsilon, seed) == covered / steps, epsilon
 
 
+@pytest.mark.parametrize("bound", [1, 2, 7, 300])
+@pytest.mark.parametrize("sampler_id", ["p3", "ties"])
+def test_nn_online_in_small_blocks_matches_the_registry_band(sampler_id, bound, monkeypatch):
+    # Blocks of one or a few steps put block edges among the ties and draws.
+    import cpskit.transducers as transducers
+
+    monkeypatch.setattr(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound)
+    test_online_counts_match_the_registry_band("nn", sampler_id, 64)
+
+
 def _raises_value_error(call):
     try:
         call()
@@ -215,6 +233,20 @@ def test_online_counts_raise_where_the_band_does(system):
         raised.append(_raises_value_error(online))
         assert raised[-1] == _raises_value_error(steps), k
     assert raised[0] is False and raised[-1] is True
+
+
+def test_nn_online_raises_after_the_draws_of_the_per_step_bands():
+    # Step 3 draws its estimate and its crossings overflow; steps 4 to 6
+    # would draw too, in the same block, and must not.
+    rows = Columns([1.0, 3.0, 0.0, 2.0, 2.0, 3.0, 2.0],
+                   [-1.7e308, -1.7e308, 0.0, 0.0, 1.0, 2.0, 1.7e308])
+    spec, band_stream, online_stream = SYSTEMS["nn"], derive_stream(0, [1]), derive_stream(0, [1])
+    with pytest.raises(ValueError):
+        for n in range(1, len(rows)):
+            spec.band(rows.head(n), rows.row(n).x, band_stream, None, None)
+    with pytest.raises(ValueError, match="at step 3"):
+        spec.online(rows, None, online_stream)
+    assert online_stream.draws == band_stream.draws == 1
 
 
 def test_online_coverage_generic_path_matches_fast_path_scale():

@@ -14,6 +14,7 @@ import bisect
 import json
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
+import cpskit.transducers as transducers
 from cpskit.conformity import _sq_dist
 from cpskit.harness import rows_to_csv
 
@@ -318,12 +320,12 @@ def test_columns_round_trip_in_any_dimension(rows):
 
 
 @st.composite
-def online_problems(draw, max_k=24):
+def online_problems(draw, max_k=24, systems=("dh", "nn", "hist-conformal")):
     """(system, rows, tie-break numbers, seed) for the online protocol, with
     duplicated predictors, responses and tie-break numbers; predictors of
     dimension 1 to 3 for nn, where +-1e200 makes squared distances
     overflow to inf."""
-    system = draw(st.sampled_from(["dh", "nn", "hist-conformal"]))
+    system = draw(st.sampled_from(list(systems)))
     d = draw(st.integers(1, 3)) if system == "nn" else 1
     k = draw(st.integers(2, max_k))
     coord = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1e200, -1e200]),
@@ -347,3 +349,11 @@ def test_online_counts_are_the_band_at_every_step(problem):
         band = spec.band(rows.head(n), test.x, band_stream, theta[: n + 1], None)
         assert band_pair(band, test.y) == (less[n - 1] / (n + 1), upto[n - 1] / (n + 1)), n
     assert band_stream.draws == online_stream.draws
+
+
+@SETTINGS
+@given(online_problems(max_k=40, systems=("nn",)), st.sampled_from([1, 2, 7, 300]))
+def test_nn_online_counts_in_small_blocks_are_the_band_at_every_step(problem, bound):
+    # Blocks of one or a few steps put block edges among the ties and draws.
+    with mock.patch.object(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound):
+        test_online_counts_are_the_band_at_every_step.hypothesis.inner_test(problem)
