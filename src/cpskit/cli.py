@@ -142,37 +142,37 @@ def _read_training(path: str) -> Columns:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not text:
         raise DataError(f"{path}: empty file")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    raw = lines[0].split(",") if lines[0] else []
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    head, _, body = text.partition("\n")
+    raw = head.split(",")
     header = [h.strip() for h in raw]
     expected = [f"x{i}" for i in range(1, len(header))] + ["y"]
     if len(header) < 2 or header != expected or max(map(len, raw)) > _FIELD_LIMIT:
         raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
     d = len(header) - 1
-    rows = lines[1:] if lines[-1] else lines[1:-1]
-    if "" in rows:
-        rows = [r for r in rows if r]
-    table = _table(rows, d) if rows else None
+    table = _table(body, d)
     if table is None:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line and _table([line], d) is None:
+        for lineno, line in enumerate(body.split("\n"), start=2):
+            if line and _table(line, d) is None:
                 raise DataError(f"{path}:{lineno}: need {d + 1} finite plain decimal reals")
         raise DataError(f"{path}: no data rows")
     return Columns(table[:, :d], table[:, d])
 
 
-def _table(rows: list[str], d: int):
-    """The rows as an ``(n, d + 1)`` float64 array, or None if one is bad."""
-    body = ",".join(rows)
-    fields = body.split(",")
-    plain = body.isascii() and "_" not in body and '"' not in body
-    if not plain or any(r.count(",") != d for r in rows) or max(map(len, fields)) > _FIELD_LIMIT:
+def _table(body: str, d: int):
+    """The lines of ``body`` as an ``(n, d + 1)`` float64 array, blank ones
+    skipped, or None if one is bad or none is left.  ``float`` rejects the
+    \\x1c-\\x1f that ``loadtxt`` strips as whitespace; no field outgrows its line."""
+    lines = body.split("\n")
+    if not any(lines) or not body.isascii() or any(c in body for c in '_"\x1c\x1d\x1e\x1f'):
+        return None
+    if any(len(f) > _FIELD_LIMIT for r in lines if len(r) > _FIELD_LIMIT for f in r.split(",")):
         return None
     try:
-        values = np.array(list(map(float, fields)))
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
-    return values.reshape(-1, d + 1) if np.isfinite(values).all() else None
+    return table if table.shape[1] == d + 1 and np.isfinite(table).all() else None
 
 
 def _cmd_band(args) -> int:

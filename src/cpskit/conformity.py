@@ -48,11 +48,15 @@ def _pick_response(candidates: list[float], rng: RandomStream | None) -> float:
     Sorting before the draw makes the choice depend only on the multiset, so a
     replayed stream yields the same value for any permutation of the data.
     """
-    if len(candidates) == 1:
-        return candidates[0]
+    return _pick_sorted(sorted(candidates), rng)
+
+
+def _pick_sorted(ys: list[float], rng: RandomStream | None) -> float:
+    """``_pick_response`` of a list already sorted; a single value draws nothing."""
+    if len(ys) == 1:
+        return ys[0]
     if rng is None:
         raise ValueError("nearest-neighbour distance tie requires a random stream")
-    ys = sorted(candidates)
     return ys[min(int(rng.uniform() * len(ys)), len(ys) - 1)]
 
 

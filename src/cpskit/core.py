@@ -134,6 +134,14 @@ class Columns:
         self.xs, self.ys = xs, ys
 
     @classmethod
+    def _adopt(cls, xs: np.ndarray, ys: np.ndarray) -> "Columns":
+        """Columns of checked float64 arrays ``xs[n, d]`` and ``ys[n]``, frozen, not copied."""
+        out = object.__new__(cls)
+        xs.flags.writeable = ys.flags.writeable = False
+        out.xs, out.ys = xs, ys
+        return out
+
+    @classmethod
     def from_observations(cls, observations: Sequence) -> "Columns":
         """Columns of a sequence of observations (plain or extended)."""
         return cls([o.x for o in observations], [o.y for o in observations])
@@ -148,9 +156,7 @@ class Columns:
 
     def head(self, k: int) -> "Columns":
         """The first ``k`` rows, sharing the (frozen, checked) arrays."""
-        out = object.__new__(Columns)
-        out.xs, out.ys = self.xs[:k], self.ys[:k]
-        return out
+        return Columns._adopt(self.xs[:k], self.ys[:k])
 
     def row(self, i: int) -> Observation:
         """Row ``i`` as an Observation."""
@@ -179,7 +185,7 @@ def _reprs(*values: np.ndarray) -> list[list[str]]:
     (``-0.0`` and ``0.0`` stay apart)."""
     keys, where = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
     distinct = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
-    texts = list(map(distinct.__getitem__, where.tolist()))
+    texts = np.array(distinct, dtype=object)[where].tolist()
     bounds = np.cumsum([0] + [len(a) for a in values]).tolist()
     return [texts[a:b] for a, b in zip(bounds, bounds[1:])]
 

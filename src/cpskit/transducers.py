@@ -34,7 +34,7 @@ from .core import (
     RandomStream,
     as_columns,
 )
-from .conformity import _pick_response
+from .conformity import _pick_response, _pick_sorted
 from .partition import cell_indices, h_schedule, scalar_column, scalar_predictor
 
 __all__ = [
@@ -321,16 +321,16 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
     Row ``i`` keeps ``near[i]``, its squared distance to its nearest other
     rows so far (inf, itself included, while none is nearer, as in
     ``nn_band``'s distance rows), ``first[i]``, the first of them, and in
-    ``tied`` all their responses when there are several.  A block takes the
-    distances from all its test rows to all earlier rows at once.  A row
-    changes state within the block only at a distance at or below its
-    ``near``, and draws only while it has ties; for such rows the running
-    minimum over the block's steps gives the state before each step (the
-    last strictly nearer test row is the first nearest, and the equally near
-    ones since then are its ties).  Every other row keeps its state.  Ties
-    draw from ``stream`` as ``nn_band`` draws, step by step, the estimate
-    first and then the rows in index order; the draws are the only events
-    taken one at a time.
+    ``tied`` all their responses, kept sorted, when there are several.  A
+    block takes the distances from all its test rows to all earlier rows at
+    once.  A row changes state within the block only at a distance at or
+    below its ``near``, and draws only while it has ties; for such rows the
+    running minimum over the block's steps gives the state before each step
+    (the last strictly nearer test row is the first nearest, and the equally
+    near ones since then are its ties).  Every other row keeps its state.
+    Ties draw from ``stream`` as ``nn_band`` draws, step by step, the
+    estimate first and then the rows in index order; the draws are the only
+    events taken one at a time.
     """
     xs, ys, k = training.xs, training.ys, len(training)
     responses = ys.tolist()
@@ -402,7 +402,7 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
                 """Responses of the nearest rows of row ``i`` as it joins."""
                 j = i - s
                 itself = [responses[i]] if overflow[j] else []
-                return ys[:i][dist[j, :i] == nearest[j]].tolist() + itself
+                return sorted(ys[:i][dist[j, :i] == nearest[j]].tolist() + itself)
 
             # ``ties``: the rows that may hold several nearest rows, with
             # those they hold as the block starts, and how many they hold
@@ -437,7 +437,7 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
                     lists[t] = [responses[s + first_step - 1]]
                     listed[t] = bisect.bisect_left(u, first_step)
                 while listed[t] < len(u) and u[listed[t]] < b:
-                    lists[t].append(responses[s + u[listed[t]]])
+                    bisect.insort(lists[t], responses[s + u[listed[t]]])
                     listed[t] += 1
                 return lists[t]
 
@@ -462,7 +462,7 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
                 drawn = draw_ties[lo:hi]
                 crossings[b, [tie_rows[t] for t in drawn]] = [
                     yh + (responses[tie_rows[t]]
-                          - _pick_response(nearest_of(b, t, first_steps[t]), stream))
+                          - _pick_sorted(nearest_of(b, t, first_steps[t]), stream))
                     for t in drawn
                 ]
                 bad[b] = np.isinf(crossings[b]).any()
@@ -529,7 +529,7 @@ def venn_distribution(
         raise ValueError("venn_distribution requires at least one training observation")
     test = Observation(x, u)
     if isinstance(training, Columns):
-        seq = Columns(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
+        seq = Columns._adopt(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
     else:
         seq = list(training) + [test]
     labels = taxonomy(seq)

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -512,3 +514,81 @@ def test_band_output_bytes_are_pinned(capsys, tmp_path, system, d):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == GOLDEN[system, d]
+
+
+# --- the reader at scale: 10^4 rows through the one-pass path -----------------
+
+SCALE_ROWS = 10_000
+SPELLINGS = ["+1", ".5", "5.", "1e5", "-0", "1e-320", "-0.0", "+.25e-3", "7E+2"]
+PADS = ["", " ", "\t", "\x0b", "\x0c", " \t\x0b\x0c"]
+
+
+def _scale_rows(seed):
+    """``SCALE_ROWS`` rows of three fields: mixed accepted spellings and
+    repr'd doubles, some padded with each whitespace that ``float`` strips."""
+    rng = random.Random(seed)
+    return [[rng.choice(PADS)
+             + (rng.choice(SPELLINGS) if rng.random() < 0.5 else repr(rng.uniform(-1e3, 1e3)))
+             + rng.choice(PADS) for _ in range(3)] for _ in range(SCALE_ROWS)]
+
+
+def _scale_file(tmp_path, rows, seed):
+    """The rows as a CSV file with a byte-order mark, mixed line endings and
+    blank lines; its path and the line number of each row."""
+    rng = random.Random(seed)
+    parts, linenos = ["\ufeffx1,x2,y\n"], []
+    for row in rows:
+        if rng.random() < 0.01:
+            parts.append("\r\n")  # a blank line, also after a line ending in CR
+        parts.append(",".join(row) + rng.choice(["\n", "\r\n", "\r"]))
+        linenos.append(len(parts))
+    path = tmp_path / "scale.csv"
+    path.write_bytes("".join(parts).encode("utf-8"))
+    return str(path), linenos
+
+
+def _band_error(capsys, path):
+    code = main(["band", "--system", "dh", "--input", path, "--x", "0.5,0.5"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("long_line", [False, True])
+def test_reader_at_scale_matches_float_per_field(tmp_path, long_line):
+    rows = _scale_rows(3)
+    if long_line:
+        # a field of exactly the limit, on a line beyond it, is accepted
+        rows[4321][1] = " " * 131070 + "-0"
+    path, _ = _scale_file(tmp_path, rows, 4)
+    cols = _read_training(path)
+    want = np.array([[float(v) for v in row] for row in rows])
+    assert cols.xs.tobytes() == want[:, :2].tobytes()
+    assert cols.ys.tobytes() == want[:, 2].tobytes()
+
+
+@pytest.mark.parametrize("fault", ["last row", "short row", "long field"])
+def test_reader_at_scale_names_the_bad_line(capsys, tmp_path, fault):
+    rows = _scale_rows(5)
+    at = {"last row": SCALE_ROWS - 1, "short row": 6000, "long field": 7000}[fault]
+    if fault == "last row":
+        rows[at][2] = "1.0x"
+    elif fault == "short row":
+        rows[at].pop()
+    else:
+        rows[at][0] = "0" * 131072 + "1"
+    path, linenos = _scale_file(tmp_path, rows, 6)
+    code, err = _band_error(capsys, path)
+    assert code == 2
+    assert f".csv:{linenos[at]}: need 3 finite" in err
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_reader_at_scale_rejects_information_separators(capsys, tmp_path, separator, side):
+    # np.loadtxt strips \x1c-\x1f around a field as whitespace; float() does not
+    rows = _scale_rows(7)
+    field = rows[8000][1]
+    rows[8000][1] = separator + field if side == "before" else field + separator
+    path, linenos = _scale_file(tmp_path, rows, 8)
+    code, err = _band_error(capsys, path)
+    assert code == 2
+    assert f".csv:{linenos[8000]}: need 3 finite" in err

@@ -204,6 +204,25 @@ def test_nn_online_in_small_blocks_matches_the_registry_band(sampler_id, bound, 
     test_online_counts_match_the_registry_band("nn", sampler_id, 64)
 
 
+class _OnePointSampler(Sampler):
+    """One predictor value, so that every row ties with every other and the
+    tie lists grow at every step; responses on a grid with -0.0 and 0.0."""
+
+    name = "one point"
+
+    def _make_columns(self, u1, u2):
+        return Columns(np.zeros_like(u1), np.array([-1.0, -0.0, 0.0, 2.5])[(u2 * 4).astype(int)])
+
+
+@pytest.mark.parametrize("bound", [7, 1 << 17])
+def test_nn_online_tie_lists_draw_as_the_per_step_bands(bound, monkeypatch):
+    import cpskit.transducers as transducers
+
+    monkeypatch.setattr(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound)
+    monkeypatch.setitem(ONLINE_SAMPLERS, "one point", _OnePointSampler())
+    test_online_counts_match_the_registry_band("nn", "one point", 100)
+
+
 def _raises_value_error(call):
     try:
         call()

@@ -386,6 +386,24 @@ def test_venn_distribution_monotone_in_postulated_response():
             assert -TOL <= gap <= 1.0 / class_size + TOL
 
 
+def test_venn_distribution_on_columns_labels_the_frozen_rows_and_the_test_row():
+    training = Columns([[0.1, 1.0], [0.2, -1.0], [30.0, 0.0]], [0.0, 1.0, 5.0])
+    seen = []
+
+    def taxonomy(cols):
+        seen.append(cols)
+        return [0, 0, 1, 0]
+
+    band = venn_distribution(taxonomy, training, (0.15, 2.0), 0.5)
+    (cols,) = seen
+    assert not cols.xs.flags.writeable and not cols.ys.flags.writeable
+    assert cols.xs.tolist() == training.xs.tolist() + [[0.15, 2.0]]
+    assert cols.ys.tolist() == [0.0, 1.0, 5.0, 0.5]
+    assert band == venn_distribution(taxonomy, training.observations(), (0.15, 2.0), 0.5)
+    with pytest.raises(ValueError):  # a test predictor of another dimension
+        venn_distribution(taxonomy, training, 0.15, 0.5)
+
+
 # --- float edges ----------------------------------------------------------------
 
 HUGE = [2.0**54, 3.0, -(2.0**54)]  # beyond 2^53, y +- 1.0 rounds back to y
