@@ -48,16 +48,17 @@ def _pick_response(candidates: list[float], rng: RandomStream | None) -> float:
     Sorting before the draw makes the choice depend only on the multiset, so a
     replayed stream yields the same value for any permutation of the data.
     """
-    return _pick_sorted(sorted(candidates), rng)
-
-
-def _pick_sorted(ys: list[float], rng: RandomStream | None) -> float:
-    """``_pick_response`` of a list already sorted; a single value draws nothing."""
-    if len(ys) == 1:
+    ys = sorted(candidates)
+    if len(ys) == 1:  # a single value draws nothing
         return ys[0]
     if rng is None:
         raise ValueError("nearest-neighbour distance tie requires a random stream")
-    return ys[min(int(rng.uniform() * len(ys)), len(ys) - 1)]
+    return _pick_at(ys, rng.uniform())
+
+
+def _pick_at(ys: list[float], u: float) -> float:
+    """The entry of the sorted list ``ys`` that the uniform draw ``u`` picks."""
+    return ys[min(int(u * len(ys)), len(ys) - 1)]
 
 
 def nn_score(data: Sequence, candidate, rng: RandomStream | None = None) -> float:

@@ -259,8 +259,8 @@ class PredictiveBand:
 
         Exact comparisons of neighbouring values accept a band whose curves
         are monotone and ordered without tolerance, as every builder's are.
-        Any other band is checked invariant by invariant, with
-        ``VALUE_TOL``, which names the first violation.
+        Any other band is checked against each invariant in turn, with
+        ``VALUE_TOL``, and the first one violated is named.
         """
         jumps, lower, upper, ajl, aju = self.arrays
         m = len(jumps)
@@ -281,32 +281,23 @@ class PredictiveBand:
             and (upper[:-1] <= aju).all() and (aju <= upper[1:]).all()
         ):
             return
-        for j in self.jumps:
-            if not math.isfinite(j):
-                raise ValueError("jump locations must be finite")
-        if any(b <= a for a, b in zip(self.jumps, self.jumps[1:])):
-            raise ValueError("jumps must be strictly increasing")
-        for seq in (self.lower, self.upper, self.at_jump_lower, self.at_jump_upper):
-            for v in seq:
-                if not math.isfinite(v) or v < -VALUE_TOL or v > 1.0 + VALUE_TOL:
-                    raise ValueError(f"band value {v!r} outside [0, 1]")
-        for lo, hi in zip(self.lower, self.upper):
-            if lo > hi + VALUE_TOL:
-                raise ValueError("lower plateau exceeds upper plateau")
-        for lo, hi in zip(self.at_jump_lower, self.at_jump_upper):
-            if lo > hi + VALUE_TOL:
-                raise ValueError("lower jump value exceeds upper jump value")
-        for plats, at_jumps, label in (
-            (self.lower, self.at_jump_lower, "lower"),
-            (self.upper, self.at_jump_upper, "upper"),
+        tol, values = VALUE_TOL, np.concatenate((lower, upper, ajl, aju))
+        for bad, message in (
+            (~np.isfinite(jumps), "jump locations must be finite"),
+            (jumps[1:] <= jumps[:-1], "jumps must be strictly increasing"),
+            (~((values >= -tol) & (values <= 1.0 + tol)), "band value {v!r} outside [0, 1]"),
+            (lower > upper + tol, "lower plateau exceeds upper plateau"),
+            (ajl > aju + tol, "lower jump value exceeds upper jump value"),
+            ((lower[:-1] > ajl + tol) | (ajl > lower[1:] + tol),
+             "lower curve is not monotone at jump {k}"),
+            ((upper[:-1] > aju + tol) | (aju > upper[1:] + tol),
+             "upper curve is not monotone at jump {k}"),
+            (abs(lower[:1]) > tol, "leftmost lower plateau must be 0"),
+            (abs(upper[-1:] - 1.0) > tol, "rightmost upper plateau must be 1"),
         ):
-            for k in range(len(at_jumps)):
-                if plats[k] > at_jumps[k] + VALUE_TOL or at_jumps[k] > plats[k + 1] + VALUE_TOL:
-                    raise ValueError(f"{label} curve is not monotone at jump {k}")
-        if abs(self.lower[0]) > VALUE_TOL:
-            raise ValueError("leftmost lower plateau must be 0")
-        if abs(self.upper[-1] - 1.0) > VALUE_TOL:
-            raise ValueError("rightmost upper plateau must be 1")
+            if bad.any():
+                k = int(bad.argmax())
+                raise ValueError(message.format(k=k, v=values.item(k)))
 
     def evaluate(self, y: float, tau: float) -> float:
         """Value of ``Q_tau`` at ``y``; linear in ``tau`` with slope >= 0."""

@@ -34,7 +34,7 @@ from .core import (
     RandomStream,
     as_columns,
 )
-from .conformity import _pick_response, _pick_sorted
+from .conformity import _pick_at, _pick_response
 from .partition import cell_indices, h_schedule, scalar_column, scalar_predictor
 
 __all__ = [
@@ -152,19 +152,6 @@ def _group(values) -> tuple[np.ndarray, np.ndarray]:
     return jumps, below
 
 
-def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank ``0, 1, ...`` of each value among the distinct values (equal
-    values rank together), and the number of distinct values."""
-    order = values.argsort()
-    v = values[order]
-    step = np.empty(len(v), dtype=np.int64)
-    step[:1] = 0
-    np.not_equal(v[1:], v[:-1], out=step[1:])
-    ranks = np.empty_like(step)
-    ranks[order] = step.cumsum()
-    return ranks, len(v) and int(ranks[order[-1]]) + 1
-
-
 def _rank_band(points) -> PredictiveBand:
     """Band of the rank p-value whose score crossings sit at ``points``.
 
@@ -216,23 +203,77 @@ def dh_band(responses) -> PredictiveBand:
 
 def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
     """Online counts of ``dh_band``: how many of the responses before each
-    one lie below it, and at or below it.  They are counted in blocks of
-    about ``sqrt(len(responses))``, against the sorted earlier blocks by
-    binary search and within the block by comparing every pair."""
+    one lie below it, and at or below it, in O(k log k) time and O(k) memory
+    for ``k < 2**31`` finite responses.  Those at or below it come before it
+    in the sort by (value, index), and ``_earlier_smaller`` counts them;
+    those below it are fewer by its offset in its run of equal values."""
     ys = np.asarray(responses, dtype=np.float64)
     k = len(ys)
-    b = int(k**0.5) + 1
-    earlier = np.tri(b, k=-1, dtype=bool)  # earlier[i, j]: j comes before i
-    less, at_or_below = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-    seen = ys[:0]
-    for s in range(0, k, b):
-        block = ys[s : s + b]
-        e = earlier[: len(block), : len(block)]
-        below = block[None, :] < block[:, None]
-        less[s : s + b] = seen.searchsorted(block) + (e & below).sum(axis=1)
-        at_or_below[s : s + b] = seen.searchsorted(block, "right") + (e & ~below.T).sum(axis=1)
-        seen = np.sort(np.concatenate((seen, block)))
-    return less[1:], at_or_below[1:] + 1
+    order = ys.argsort()
+    tied = ys[order[1:]] == ys[order[:-1]]
+    if tied.any():  # the default sort leaves equal values in any order
+        order = ys.argsort(kind="stable")
+    at_or_below = _earlier_smaller(order)
+    less, upto = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    upto[order] = at_or_below + 1
+    if tied.any():
+        at = np.arange(k)
+        at_or_below -= at - np.maximum.accumulate(np.where(np.append(True, ~tied), at, 0))
+    less[order] = at_or_below
+    return less[1:], upto[1:]
+
+
+def _earlier_smaller(order: np.ndarray) -> np.ndarray:
+    """For each place ``0..k-1`` of the permutation ``order``, how many rows
+    before the row ``order[place]`` have a smaller place.
+
+    An MSD radix over the bits of the places ``p`` of the rows, padded to
+    whole groups of 64 by later and larger places.  Before the pass at bit
+    ``s`` the rows whose places agree above bit ``s`` sit together in row
+    order, from slot ``p >> (s + 1) << (s + 1)`` as ``p`` is a permutation.
+    A row with bit ``s`` set gains the rows of its group before it with the
+    bit clear, from one cumulative sum, and a scatter moves those first; the
+    gains ride in the upper 32 bits of ``p``.  In groups of 64, a row gains
+    the bits below ``p % 64`` in the OR of ``1 << (p % 64)`` over the rows
+    before it.
+    """
+    k = len(order)
+    K = -(-k // 64) * 64
+    p, slot = np.arange(K), np.arange(K)
+    p[order] = slot[:k]
+    nxt, bit, work = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+    csum = np.zeros(K + 1, dtype=np.int64)
+    gain = csum[:-1]
+    for s in range((K - 1).bit_length() - 1, 5, -1):
+        g, full = 2 << s, K - K % (2 << s)
+        np.bitwise_and(np.right_shift(p, s, out=bit), 1, out=bit)
+        np.cumsum(bit, out=csum[1:])
+        # ``work``: the set rows before each slot in its group; ``gain``: the
+        # clear ones.
+        groups = work[:full].reshape(-1, g)
+        np.subtract(csum[:full].reshape(-1, g), csum[:full:g, None], out=groups)
+        np.subtract(csum[full:K], csum[full], out=work[full:])
+        np.subtract(np.bitwise_and(slot, g - 1, out=gain), work, out=gain)
+        # ``work``: the new slot, group start + ``gain`` if clear and group
+        # start + ``2**s + work`` if set.
+        work -= gain
+        work += 1 << s
+        work *= bit
+        work += gain
+        groups += slot[:full:g, None]
+        work[full:] += full
+        gain *= bit
+        p += np.left_shift(gain, 32, out=gain)
+        nxt[work] = p
+        p, nxt = nxt, p
+    np.left_shift(1, np.bitwise_and(p, 63, out=bit), out=bit)
+    mask, seen = bit.view(np.uint64), work.view(np.uint64)
+    np.bitwise_or.accumulate(mask.reshape(-1, 64), axis=1, out=seen.reshape(-1, 64))
+    mask -= np.uint64(1)
+    seen &= mask
+    p += np.left_shift(np.bitwise_count(seen, out=bit), 32, out=bit)
+    nxt[np.bitwise_and(p, 0xFFFFFFFF, out=bit)] = np.right_shift(p, 32, out=work)
+    return nxt[:k]
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -329,8 +370,9 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
     (the last strictly nearer test row is the first nearest, and the equally
     near ones since then are its ties).  Every other row keeps its state.
     Ties draw from ``stream`` as ``nn_band`` draws, step by step, the
-    estimate first and then the rows in index order; the draws are the only
-    events taken one at a time.
+    estimate first and then the rows in index order, in one ``uniforms``
+    call per step; the steps that draw are the only events taken one at a
+    time.
     """
     xs, ys, k = training.xs, training.ys, len(training)
     responses = ys.tolist()
@@ -460,11 +502,13 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
                     crossings[b] = crossings_at(np.array([b]))
                 yh, first_steps = float(y_hat[b]), since_tied[b].tolist()
                 drawn = draw_ties[lo:hi]
-                crossings[b, [tie_rows[t] for t in drawn]] = [
-                    yh + (responses[tie_rows[t]]
-                          - _pick_sorted(nearest_of(b, t, first_steps[t]), stream))
-                    for t in drawn
-                ]
+                if drawn:
+                    us = stream.uniforms(len(drawn)).tolist()
+                    crossings[b, [tie_rows[t] for t in drawn]] = [
+                        yh + (responses[tie_rows[t]]
+                              - _pick_at(nearest_of(b, t, first_steps[t]), u))
+                        for t, u in zip(drawn, us)
+                    ]
                 bad[b] = np.isinf(crossings[b]).any()
             if bad.any():
                 raise ValueError(
@@ -548,30 +592,16 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     this way; it counts every other cell from its size.  A point's key is
     its rank ``a`` (cell mates, itself included, whose ``(y, t)`` pair is <=
     its own, less one) over ``N = cell size - 1``, or the sign rule when
-    ``N = 0``, divided as ``histogram_score`` divides.  The points are sorted
-    by ``(cell, y)`` through one key of dense ranks, below ``len(c) ** 2``;
-    when ``y`` has ties, each run of equal ``(cell, y)`` is then ordered by
-    ``t``.
+    ``N = 0``, divided as ``histogram_score`` divides.
     """
-    rc, _ = _dense_ranks(c)
-    ry, ky = _dense_ranks(y)
-    cy = rc * ky + ry
-    order = cy.argsort()
-    cy = cy[order]
-    if ky < len(y):
-        edge = np.zeros(len(cy) + 1, dtype=bool)
-        np.equal(cy[1:], cy[:-1], out=edge[1:-1])
-        tied = np.flatnonzero(edge[1:] | edge[:-1])
-        run, _ = _dense_ranks(cy[tied])
-        rt, kt = _dense_ranks(t[order[tied]])
-        order[tied] = order[tied[(run * kt + rt).argsort()]]
-    rc, y, t = rc[order], y[order], t[order]
+    order = np.lexsort((t, y, c))
+    c, y, t = c[order], y[order], t[order]
     # Starts of cells and of equal (cell, y, t) triples, and an end mark; a
     # running count of starts numbers each point's cell and triple.
-    new_cell = np.ones(len(rc) + 1, dtype=bool)
-    np.not_equal(rc[1:], rc[:-1], out=new_cell[1:-1])
+    new_cell = np.ones(len(c) + 1, dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=new_cell[1:-1])
     new_triple = new_cell.copy()
-    new_triple[1:-1] |= (cy[1:] != cy[:-1]) | (t[1:] != t[:-1])
+    new_triple[1:-1] |= (y[1:] != y[:-1]) | (t[1:] != t[:-1])
     cell_bounds, cell_of = np.flatnonzero(new_cell), new_cell[:-1].cumsum()
     start = cell_bounds[cell_of - 1]
     rank = np.flatnonzero(new_triple)[new_triple[:-1].cumsum()] - start - 1

@@ -1,6 +1,7 @@
 """Transducers, taxonomies, and band constructors."""
 
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -9,6 +10,7 @@ import pytest
 
 from cpskit import (
     Columns,
+    ExtendedObservation,
     Observation,
     cell_index,
     conformal_pvalue,
@@ -26,7 +28,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
-from cpskit.transducers import _cell_rank_keys, _group, nn_online
+from cpskit.transducers import _cell_rank_keys, _group, dh_online, nn_online
 
 TOL = 1e-12
 
@@ -170,6 +172,61 @@ def test_dh_band_with_ties_matches_transducer():
         for tau in (0.0, 0.4, 1.0):
             direct = conformal_pvalue(trivial_score, training, obs(0.0, y), tau)
             assert abs(band.evaluate(y, tau) - direct) < TOL
+
+
+def _dh_online_brute(ys):
+    """Earlier responses below each one, and at or below it plus one, by
+    comparing every pair."""
+    ys = np.asarray(ys, dtype=np.float64)
+    earlier = np.tri(len(ys), k=-1, dtype=bool)
+    less = (earlier & (ys[None, :] < ys[:, None])).sum(axis=1)
+    upto = (earlier & (ys[None, :] <= ys[:, None])).sum(axis=1) + 1
+    return less[1:], upto[1:]
+
+
+# Sizes 1 and 2, powers of two and their neighbours, and both sides of the
+# 64-place groups that finish the counts.
+DH_ONLINE_SIZES = sorted(
+    {1, 2, 3, 5, 127, 129, 191, 192, 193, 1000}
+    | {2**j + d for j in range(1, 11) for d in (-1, 0, 1)}
+)
+
+
+def _dh_online_responses(k, rng):
+    """Continuous, grid-tied, signed-zero and huge, and rounded responses."""
+    yield rng.random(k)
+    yield rng.integers(-2, 3, k) * 0.5
+    yield rng.choice([-0.0, 0.0, 1e300, -1e300, 1.0], k)
+    yield np.round(rng.normal(size=k), 1)
+
+
+@pytest.mark.parametrize("k", DH_ONLINE_SIZES)
+def test_dh_online_matches_comparing_every_pair(k):
+    rng = np.random.default_rng(k)
+    for ys in _dh_online_responses(k, rng):
+        less, upto = dh_online(ys)
+        want_less, want_upto = _dh_online_brute(ys)
+        assert less.dtype == upto.dtype == np.int64
+        assert less.tolist() == want_less.tolist()
+        assert upto.tolist() == want_upto.tolist()
+
+
+@pytest.mark.parametrize("digits", [None, 2])
+def test_dh_online_peak_memory_is_linear(digits):
+    # About 58 bytes per response; a k x 64 comparison or O(k log k)
+    # temporaries would exceed the bound.
+    k = 10**5
+    ys = np.random.default_rng(4).random(k)
+    if digits is not None:
+        ys = np.round(ys, digits)
+    dh_online(ys[:100])
+    tracemalloc.start()
+    try:
+        dh_online(ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * k
 
 
 # --- nearest-neighbour band -------------------------------------------------
@@ -485,6 +542,22 @@ def _cell_rank_keys_lexsort(c, y, t):
     return np.sort(keys)
 
 
+def _cell_rank_keys_by_score(c, y, t):
+    """Every point's ``histogram_score`` against the other points of its cell,
+    sorted: the cells as scalar predictors, at width ``h_schedule(1) = 1``.
+    Points with equal ``(cell, y, t)`` score alike, so each such triple is
+    scored once."""
+    cells, scores = {}, {}
+    for ci, yi, ti in zip(c.tolist(), y.tolist(), t.tolist()):
+        cells.setdefault(ci, []).append(ExtendedObservation(obs(ci, yi), ti))
+    for mates in cells.values():
+        for i, point in enumerate(mates):
+            key = (point.x, point.y, point.theta)
+            if key not in scores:
+                scores[key] = histogram_score(mates[:i] + mates[i + 1 :], point, 1)
+    return sorted(scores[(p.x, p.y, p.theta)] for mates in cells.values() for p in mates)
+
+
 @pytest.mark.parametrize("n, rounds", [(20, 400), (5000, 8)])
 def test_cell_rank_keys_match_the_lexsort_ranking(n, rounds):
     rng = np.random.default_rng(n)
@@ -496,7 +569,7 @@ def test_cell_rank_keys_match_the_lexsort_ranking(n, rounds):
             ys = rng.normal(size=size)
         ts = rng.choice([0.0, 0.25, 0.5, 1.0], size) if rng.random() < 0.7 else rng.random(size)
         got = _cell_rank_keys(cells, ys, ts)
-        assert got.tolist() == _cell_rank_keys_lexsort(cells, ys, ts).tolist()
+        assert got.tolist() == _cell_rank_keys_by_score(cells, ys, ts)
 
 
 @pytest.mark.parametrize("n", [20, 5000])
