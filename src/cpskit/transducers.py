@@ -306,7 +306,8 @@ def nn_band(
     nearest-neighbour estimate at ``x``; for the rest it is that estimate
     shifted by their own nearest-neighbour residual.  Distance ties are
     broken uniformly via ``stream`` (estimate first, then residuals in index
-    order), and ``stream`` is drawn from only at a tie.  Agrees with
+    order, one ``uniforms`` call per block of rows), and ``stream`` is drawn
+    from only at a tie.  Agrees with
     ``conformal_pvalue(nn_score, ...)`` at every ``(y, tau)`` off the jumps.
     """
     if len(training) < 1:
@@ -338,8 +339,11 @@ def nn_band(
             far = np.flatnonzero(to_test[lo:hi] >= min_other)
             nearest = dist[far] == min_other[far, None]
             y_nn = ys[nearest.argmax(axis=1)]
-            for k in np.flatnonzero(nearest.sum(axis=1) > 1):
-                y_nn[k] = _pick_response(ys[nearest[k]].tolist(), stream)
+            tied = np.flatnonzero(nearest.sum(axis=1) > 1)
+            if len(tied):
+                us = stream.uniforms(len(tied)).tolist()
+                y_nn[tied] = [_pick_at(sorted(ys[nearest[k]].tolist()), u)
+                              for k, u in zip(tied.tolist(), us)]
             crossings[lo + far] = y_hat + (y[far] - y_nn)
     return _rank_band(crossings)
 
@@ -361,18 +365,19 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
 
     Row ``i`` keeps ``near[i]``, its squared distance to its nearest other
     rows so far (inf, itself included, while none is nearer, as in
-    ``nn_band``'s distance rows), ``first[i]``, the first of them, and in
-    ``tied`` all their responses, kept sorted, when there are several.  A
-    block takes the distances from all its test rows to all earlier rows at
-    once.  A row changes state within the block only at a distance at or
-    below its ``near``, and draws only while it has ties; for such rows the
-    running minimum over the block's steps gives the state before each step
-    (the last strictly nearer test row is the first nearest, and the equally
-    near ones since then are its ties).  Every other row keeps its state.
-    Ties draw from ``stream`` as ``nn_band`` draws, step by step, the
-    estimate first and then the rows in index order, in one ``uniforms``
-    call per step; the steps that draw are the only events taken one at a
-    time.
+    ``nn_band``'s distance rows), and ``first[i]``, the first of them.  While
+    it has several, ``tied[i]`` holds all their responses, sorted: before
+    each step exactly the list that ``nn_band`` picks from.  A block takes
+    the distances from all its test rows to all earlier rows at once.  A row
+    changes state within the block only at a distance at or below its
+    ``near``; for such rows the running minimum over the block's steps gives
+    the state before each step (the last strictly nearer test row is the
+    first nearest).  A block with a tie takes its steps one at a time: each
+    draws as ``nn_band`` draws, the estimate first and then the rows of
+    ``tied`` that the test row is not strictly nearer to, in index order, in
+    one ``uniforms`` call; then the test row drops the lists of the rows it
+    is strictly nearer to, joins those of the rows it is equally near to,
+    and gets its own list if it joins with several nearest rows.
     """
     xs, ys, k = training.xs, training.ys, len(training)
     responses = ys.tolist()
@@ -406,11 +411,8 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
             joins_tied = several | overflow
             near[s:e], first[s:e] = nearest, hit
 
-            # ``rows``: those that may change state or draw in the block.
-            moves = (dist <= near[:m]).any(axis=0)
-            moves[list(tied)] = True
-            moves[s:] |= joins_tied[:-1]
-            rows = np.flatnonzero(moves)
+            # ``rows``: those that may change state in the block.
+            rows = np.flatnonzero((dist <= near[:m]).any(axis=0))
             sub = dist[:, rows]
             run = np.empty((e - s + 1, len(rows)))
             run[0], run[1:] = near[rows], sub
@@ -446,70 +448,35 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
                 itself = [responses[i]] if overflow[j] else []
                 return sorted(ys[:i][dist[j, :i] == nearest[j]].tolist() + itself)
 
-            # ``ties``: the rows that may hold several nearest rows, with
-            # those they hold as the block starts, and how many they hold
-            # before each step and after the block.
-            held = {j: tied.pop(i) if i < s else joined(i) for j, i in enumerate(rows.tolist())
-                    if i in tied or i >= s and joins_tied[i - s]}
-            tying = even.any(axis=0)
-            tying[list(held)] = True
-            ties = np.flatnonzero(tying)
-            since_tied = since[:, ties]
-            evens_before = np.zeros((e - s + 1, len(ties)), dtype=np.intp)
-            np.cumsum(even[:, ties], axis=0, out=evens_before[1:])
-            base = np.array([len(held.get(j, ())) or 1 for j in ties.tolist()], dtype=np.intp)
-            count = (np.where(since_tied > 0, 1, base) + evens_before
-                     - np.take_along_axis(evens_before, since_tied, axis=0))
-            # Their nearest rows, brought up to date as the draws come in
-            # step order: since the last reset, the equally near test rows.
-            tie_rows = rows[ties].tolist()
-            lists = [held.get(j) or [responses[first[i]]] for j, i in zip(ties.tolist(), tie_rows)]
-            listed_since, listed = [0] * len(ties), [0] * len(ties)
-            even_steps = {}
-
-            def nearest_of(b, t, first_step):
-                """Responses of the nearest rows of ``tie_rows[t]`` before step
-                ``s + b``, when the test rows that tie with it start at step
-                ``s + first_step``."""
-                if t not in even_steps:
-                    even_steps[t] = np.flatnonzero(even[:, ties[t]]).tolist()
-                u = even_steps[t]
-                if first_step != listed_since[t]:
-                    listed_since[t] = first_step
-                    lists[t] = [responses[s + first_step - 1]]
-                    listed[t] = bisect.bisect_left(u, first_step)
-                while listed[t] < len(u) and u[listed[t]] < b:
-                    bisect.insort(lists[t], responses[s + u[listed[t]]])
-                    listed[t] += 1
-                return lists[t]
-
             crossings = crossings_at(at)
             bad = np.isinf(crossings).any(axis=1)
-            draws = (count[:-1] > 1) & ~closer[:, ties] & trains[:, ties]
-            draw_steps, draw_ties = np.nonzero(draws)
-            event = several.copy()
-            event[draw_steps] = True
-            event_steps = np.flatnonzero(event).tolist()
-            bounds = np.searchsorted(draw_steps, event_steps + [e - s]).tolist()
-            draw_ties = draw_ties.tolist()
-            for b, lo, hi in zip(event_steps, bounds, bounds[1:]):
-                # A step draws only once the earlier ones passed the check.
-                if bad[:b].any():
-                    break
+            # Only a tied row, a row that ties with a test row or a test row
+            # that joins with several nearest rows (as at an estimate tie)
+            # makes a block draw or change the tie lists.
+            evens = even.any(axis=1)
+            for b in range(e - s) if tied or joins_tied.any() or evens.any() else ():
+                n = s + b
                 if several[b]:
-                    n = s + b
                     y_hat[b] = _pick_response(ys[:n][dist[b, :n] == nearest[b]].tolist(), stream)
                     crossings[b] = crossings_at(np.array([b]))
-                yh, first_steps = float(y_hat[b]), since_tied[b].tolist()
-                drawn = draw_ties[lo:hi]
+                nearer = rows[closer[b]].tolist()
+                drawn = sorted(tied.keys() - nearer)
                 if drawn:
-                    us = stream.uniforms(len(drawn)).tolist()
-                    crossings[b, [tie_rows[t] for t in drawn]] = [
-                        yh + (responses[tie_rows[t]]
-                              - _pick_at(nearest_of(b, t, first_steps[t]), u))
-                        for t, u in zip(drawn, us)
+                    yh, us = float(y_hat[b]), stream.uniforms(len(drawn)).tolist()
+                    crossings[b, drawn] = [
+                        yh + (responses[i] - _pick_at(tied[i], u)) for i, u in zip(drawn, us)
                     ]
+                # The next step draws only once this one passes the check.
                 bad[b] = np.isinf(crossings[b]).any()
+                if bad[b]:
+                    break
+                for i in nearer:
+                    tied.pop(i, None)
+                if evens[b]:
+                    for i, f in zip(rows[even[b]].tolist(), first_rows[b, even[b]].tolist()):
+                        bisect.insort(tied.setdefault(i, [responses[f]]), responses[n])
+                if joins_tied[b]:
+                    tied[n] = joined(n)
             if bad.any():
                 raise ValueError(
                     f"a nearest-neighbour crossing overflows at step {s + int(bad.argmax())}"
@@ -521,11 +488,6 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
             less[s - 1 : e - 1] = np.add.reduce(below, axis=1, dtype=np.uint32)
             upto[s - 1 : e - 1] = np.add.reduce(at_or_below, axis=1, dtype=np.uint32) + 1
             near[rows], first[rows] = run[-1], first_rows[-1]
-            first_steps = since_tied[-1].tolist()
-            for t in np.flatnonzero(count[-1] > 1).tolist():
-                tied[tie_rows[t]] = nearest_of(e - s, t, first_steps[t])
-            if joins_tied[-1]:
-                tied[e - 1] = joined(e - 1)
             s = e
     return less, upto
 
@@ -716,6 +678,8 @@ def hcps_band(
     thetas = np.asarray(thetas, dtype=np.float64).ravel()
     if len(thetas) != n + 1:
         raise ValueError(f"need {n + 1} tie-break numbers, got {len(thetas)}")
+    if not (thetas.min() >= 0.0 and thetas.max() <= 1.0):  # NaN fails both
+        raise ValueError("tie-break numbers must lie in [0, 1]")
     cols = as_columns(training)
     cells, c_test = _cells(cols, x)
     in_test = cells == c_test
@@ -765,8 +729,10 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     (``r * m < a * N``, exactly) depend on its size alone and are taken once
     per distinct size.  Cells with duplicate pairs are counted by rank.
     """
-    x_col, ys = scalar_column(training), training.ys.tolist()
-    ts = np.asarray(thetas, dtype=np.float64).tolist()
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if not (thetas.min() >= 0.0 and thetas.max() <= 1.0):  # NaN fails both
+        raise ValueError("tie-break numbers must lie in [0, 1]")
+    x_col, ys, ts = scalar_column(training), training.ys.tolist(), thetas.tolist()
     k = len(ys)
     less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
     h = pairs = sizes = singles = dup = None

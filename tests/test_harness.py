@@ -156,7 +156,24 @@ class _TieGridSampler(Sampler):
         return Columns(xs, ys)
 
 
-ONLINE_SAMPLERS = {"p1": SAMPLERS["p1"], "p3": SAMPLERS["p3"], "ties": _TieGridSampler()}
+class _LastingTieSampler(Sampler):
+    """``p1`` rows, but rows 0 to 2 sit at x = 5.0, far from the rest: from
+    step 3 on each of them holds the other two as nearest rows and draws at
+    every step, through whole blocks of steps."""
+
+    name = "lasting"
+
+    def _make_columns(self, u1, u2):
+        p1 = SAMPLERS["p1"]._make_columns(u1, u2)
+        return Columns(np.where(np.arange(len(u1)) < 3, 5.0, u1), p1.ys)
+
+
+ONLINE_SAMPLERS = {
+    "p1": SAMPLERS["p1"],
+    "p3": SAMPLERS["p3"],
+    "ties": _TieGridSampler(),
+    "lasting": _LastingTieSampler(),
+}
 
 
 def _online_protocol(sampler, steps, seed):
@@ -202,6 +219,24 @@ def test_nn_online_in_small_blocks_matches_the_registry_band(sampler_id, bound, 
 
     monkeypatch.setattr(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound)
     test_online_counts_match_the_registry_band("nn", sampler_id, 64)
+
+
+def test_nn_online_ties_never_shorten_its_blocks(monkeypatch):
+    import cpskit.transducers as transducers
+
+    sq_dists, calls = transducers._sq_dists, []
+    monkeypatch.setattr(transducers, "_sq_dists",
+                        lambda a, b: calls.append(len(a)) or sq_dists(a, b))
+    steps, blocks = 1000, {}
+    for sampler_id in ("p1", "lasting"):
+        st, cols, _, _ = _online_protocol(ONLINE_SAMPLERS[sampler_id], steps, 12)
+        calls.clear()
+        before = st.draws
+        transducers.nn_online(cols, st)
+        blocks[sampler_id], draws = list(calls), st.draws - before
+    assert blocks["lasting"] == blocks["p1"]
+    # The estimates of steps 2 and 3 tie; rows 0 to 2 draw at every step from 3 on.
+    assert draws == 2 + 3 * (steps - 2)
 
 
 class _OnePointSampler(Sampler):

@@ -2,13 +2,17 @@
 
 The tracer wraps cpskit functions by name in the modules that call them and
 raises KeyError on a name that is gone, so a clean-up that drops an import
-would break the traced benchmark without failing any other test.
+would break the traced benchmark without failing any other test.  The
+converse holds too: a name that ``cpskit/harness.py`` or ``cpskit/cli.py``
+imports and never reads is there only for the tracer.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
+import cpskit.cli as cli
 import cpskit.harness as harness
 from cpskit import PredictiveBand, dh_band
 
@@ -32,6 +36,26 @@ def test_every_traced_name_is_bound():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in _sites(_tracing())
                if attr not in vars(owner)]
     assert missing == []
+
+
+def _unread_imports(module):
+    """Names that ``module`` imports and never reads."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_unread_import_is_a_traced_name():
+    sites = set(_sites(_tracing()))
+    stale = [f"{m.__name__}.{name}" for m in (harness, cli)
+             for name in sorted(_unread_imports(m)) if (m, name) not in sites]
+    assert stale == []
 
 
 def test_recorder_wraps_and_restores_every_name():

@@ -28,7 +28,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
-from cpskit.transducers import _cell_rank_keys, _group, dh_online, nn_online
+from cpskit.transducers import _cell_rank_keys, _group, dh_online, hcps_online, nn_online
 
 TOL = 1e-12
 
@@ -394,6 +394,27 @@ def test_hcps_band_needs_randomness_source():
         hcps_band([obs(0.0, 1.0)], 0.5)
     band = hcps_band([obs(0.0, 1.0)], 0.5, stream=derive_stream(1, [0]))
     band.validate()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -0.5, 1.5])
+def test_tie_break_numbers_outside_the_unit_interval_raise(theta):
+    training = [obs(0.1, 0.0), obs(0.2, 1.0), obs(0.6, -1.0)]
+    cols = Columns.from_observations(training + [obs(0.15, 0.5)])
+    measure = partial(histogram_score, n_for_partition=len(training))
+    for thetas in ([0.25, theta, 0.75, 0.5], [0.25, 0.5, 0.75, theta]):
+        with pytest.raises(ValueError):
+            hcps_band(training, 0.15, thetas=thetas)
+        with pytest.raises(ValueError):
+            hcps_online(cols, thetas)
+        with pytest.raises(ValueError):
+            conformal_pvalue(measure, training, obs(0.15, 0.5), 0.5, thetas=thetas)
+    # -0.0 lies in [0, 1].
+    thetas = [0.25, -0.0, 0.75, 0.5]
+    band = hcps_band(training, 0.15, thetas=thetas)
+    less, upto = hcps_online(cols, thetas)
+    assert band.evaluate(0.5, 0.5) == conformal_pvalue(
+        measure, training, obs(0.15, 0.5), 0.5, thetas=thetas
+    ) == (less[-1] + 0.5 * (upto[-1] - less[-1])) / 4
 
 
 # --- probability forecaster ---------------------------------------------------
