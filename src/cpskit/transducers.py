@@ -208,6 +208,8 @@ def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
     in the sort by (value, index), and ``_earlier_smaller`` counts them;
     those below it are fewer by its offset in its run of equal values."""
     ys = np.asarray(responses, dtype=np.float64)
+    if not np.isfinite(ys).all():
+        raise ValueError("responses must be finite")
     k = len(ys)
     order = ys.argsort()
     tied = ys[order[1:]] == ys[order[:-1]]
@@ -546,15 +548,40 @@ def venn_distribution(
     return _ecdf_band([o.y for o, lab in zip(seq, labels) if lab == labels[n]])
 
 
+def _repeats_a_pair(y: np.ndarray, t: np.ndarray) -> bool:
+    """Whether two of the points with responses ``y`` and tie-break numbers
+    ``t`` share one ``(y, t)`` pair.  Only points whose ``t`` repeats can,
+    and only those are sorted by pair."""
+    ts = np.sort(t)
+    repeated = ts[1:][ts[1:] == ts[:-1]]
+    if not len(repeated):
+        return False
+    pick = np.isin(t, repeated)
+    py, pt = y[pick], t[pick]
+    order = np.lexsort((py, pt))
+    py, pt = py[order], pt[order]
+    return bool(((py[1:] == py[:-1]) & (pt[1:] == pt[:-1])).any())
+
+
+def _tie_breaks(thetas, count: int) -> np.ndarray:
+    """``thetas`` as a 1-D float64 array of exactly ``count`` numbers in [0, 1]."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.shape != (count,):
+        raise ValueError(f"need {count} tie-break numbers, got an array of shape {thetas.shape}")
+    if not (thetas.min() >= 0.0 and thetas.max() <= 1.0):  # NaN fails both
+        raise ValueError("tie-break numbers must lie in [0, 1]")
+    return thetas
+
+
 def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sorted ``histogram_score`` keys of points with cells ``c``, responses
     ``y`` and tie-break numbers ``t``, each scored within its own cell.
 
-    ``hcps_band`` keys only the cells that hold a repeated ``(y, t)`` pair
-    this way; it counts every other cell from its size.  A point's key is
-    its rank ``a`` (cell mates, itself included, whose ``(y, t)`` pair is <=
-    its own, less one) over ``N = cell size - 1``, or the sign rule when
-    ``N = 0``, divided as ``histogram_score`` divides.
+    ``hcps_band`` keys every out-of-cell point this way once two points
+    share a ``(y, t)`` pair; otherwise it counts every cell from its size.
+    A point's key is its rank ``a`` (cell mates, itself included, whose
+    ``(y, t)`` pair is <= its own, less one) over ``N = cell size - 1``, or
+    the sign rule when ``N = 0``, divided as ``histogram_score`` divides.
     """
     order = np.lexsort((t, y, c))
     c, y, t = c[order], y[order], t[order]
@@ -582,31 +609,19 @@ def _out_of_cell_counts(c, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
     ``a / m`` and at or below it, as two int64 arrays indexed by
     ``a = 0..m``.
 
-    A cell of ``N + 1 >= 2`` points without a repeated ``(y, t)`` pair holds
-    the keys ``r / N``, ``r = 0..N``: ``ceil(a * N / m)`` of them lie below
-    ``a / m`` and ``floor(a * N / m) + 1`` at or below it, so these cells are
-    counted once per distinct size.  A singleton's key is 1 when ``y >= 0``
-    (``-0.0`` included) and 0 otherwise.  A repeated pair needs a repeated
-    ``t``; only the cells holding one are keyed by ``_cell_rank_keys`` and
-    counted by binary search.
+    When no two points share a ``(y, t)`` pair, a cell of ``N + 1 >= 2``
+    points holds the keys ``r / N``, ``r = 0..N``: ``ceil(a * N / m)`` of
+    them lie below ``a / m`` and ``floor(a * N / m) + 1`` at or below it, so
+    the cells are counted once per distinct size.  A singleton's key is 1
+    when ``y >= 0`` (``-0.0`` included) and 0 otherwise.  When a pair
+    repeats, every point is keyed by ``_cell_rank_keys`` and counted by
+    binary search.
     """
     a = np.arange(m + 1)
+    if _repeats_a_pair(y, t):
+        keys = _cell_rank_keys(c, y, t)
+        return keys.searchsorted(a / m), keys.searchsorted(a / m, "right")
     below, upto = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
-    ts = np.sort(t)
-    repeated = ts[1:][ts[1:] == ts[:-1]]
-    if len(repeated):
-        # Cells with a repeated (y, t) pair, among the points whose t repeats.
-        pick = np.isin(t, repeated)
-        pc, py, pt = c[pick], y[pick], t[pick]
-        order = np.lexsort((pt, py, pc))
-        pc, py, pt = pc[order], py[order], pt[order]
-        pair_cells = pc[1:][(pc[1:] == pc[:-1]) & (py[1:] == py[:-1]) & (pt[1:] == pt[:-1])]
-        if len(pair_cells):
-            ranked = np.isin(c, pair_cells)
-            keys = _cell_rank_keys(c[ranked], y[ranked], t[ranked])
-            below += keys.searchsorted(a / m)
-            upto += keys.searchsorted(a / m, "right")
-            c, y = c[~ranked], y[~ranked]
     order = c.argsort()
     cs = c[order]
     bounds = np.ones(len(c) + 1, dtype=bool)
@@ -655,18 +670,19 @@ def hcps_band(
     the test cell do not depend on ``y``, and neither do their counts below
     and at or below each candidate key ``a / m``.
 
-    Those counts are exact integer comparisons: a cell of ``N + 1`` points
-    without a repeated ``(y, theta)`` pair holds the keys ``r / N``, and
-    ``r / N < a / m`` exactly when ``r * m < a * N``.  As ``a * N <= n**2``,
-    this holds in int64 for ``n`` below about ``3 * 10**9``.  Only cells with
-    a repeated pair, which tied tie-break numbers alone can give, are keyed
-    as doubles ``a / N`` and counted by binary search.  These compare exactly
-    as the rationals do: integer division is correctly rounded, so equal
-    rationals (``1/2`` and ``2/4``) give the same double, and distinct ones
-    with denominators at most ``2**26`` differ by at least ``2**-52``, more
-    than the spacing of doubles in ``[0, 1]``, so they round to distinct
-    doubles in the same order.  ``histogram_score`` divides the same
-    integers the same way, and ``N <= n``.
+    Those counts are exact integer comparisons: when no two points outside
+    the test cell share a ``(y, theta)`` pair, a cell of ``N + 1`` of them
+    holds the keys ``r / N``, and ``r / N < a / m`` exactly when
+    ``r * m < a * N``.  As ``a * N <= n**2``, this holds in int64 for ``n``
+    below about ``3 * 10**9``.  Once two share a pair, which tied tie-break
+    numbers alone can give, every one of them is keyed as a double ``a / N``
+    and counted by binary search.  These keys compare exactly as the
+    rationals do: integer division is correctly rounded, so equal rationals
+    (``1/2`` and ``2/4``) give the same double, and distinct ones with
+    denominators at most ``2**26`` differ by at least ``2**-52``, more than
+    the spacing of doubles in ``[0, 1]``, so they round to distinct doubles
+    in the same order.  ``histogram_score`` divides the same integers the
+    same way, and ``N <= n``.
     """
     n = len(training)
     if n < 1:
@@ -675,11 +691,7 @@ def hcps_band(
         if stream is None:
             raise ValueError("hcps_band needs tie-break numbers or a stream")
         thetas = stream.uniforms(n + 1)
-    thetas = np.asarray(thetas, dtype=np.float64).ravel()
-    if len(thetas) != n + 1:
-        raise ValueError(f"need {n + 1} tie-break numbers, got {len(thetas)}")
-    if not (thetas.min() >= 0.0 and thetas.max() <= 1.0):  # NaN fails both
-        raise ValueError("tie-break numbers must lie in [0, 1]")
+    thetas = _tie_breaks(thetas, n + 1)
     cols = as_columns(training)
     cells, c_test = _cells(cols, x)
     in_test = cells == c_test
@@ -720,82 +732,67 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Online counts of ``hcps_band``, from per-cell sorted ``(y, theta)`` lists.
 
     The cells are rebuilt whenever ``h_schedule`` halves (at ``n = 8**k``).
-    Of the ``m`` pairs in the test cell, ``lo`` lie below the candidate's
-    and ``hi`` at or below it; its key is ``a / m = hi / m``, or ``a / 1`` by
-    the sign rule in an empty cell.  The step's counts are ``lo`` and
-    ``hi + 1`` plus the keys below, and at or below, ``a / m`` of the other
-    cells, as ``hcps_band`` keys them.  A cell of ``N + 1`` points without
-    duplicate pairs holds the keys ``r / N``, ``r = 0..N``, so its counts
-    (``r * m < a * N``, exactly) depend on its size alone and are taken once
-    per distinct size.  Cells with duplicate pairs are counted by rank.
+    With no two rows sharing a ``(y, theta)`` pair, ``lo`` of the ``m``
+    pairs in the test cell lie below the candidate's, and its key is
+    ``a / m = lo / m``, or ``a / 1`` by the sign rule in an empty cell.  The
+    step's counts are ``lo`` and ``lo + 1`` plus the keys below, and at or
+    below, ``a / m`` of the other cells: a cell of ``N + 1`` points holds
+    the keys ``r / N``, ``r = 0..N``, so its counts (``r * m < a * N``,
+    exactly) depend on its size alone and are taken once per distinct size.
+    A repeated pair gives each step's ``hcps_band`` counts instead, in
+    O(n log n) a step: its values ``count / (n + 1)`` round back exactly
+    for ``n < 2**26``.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if not (thetas.min() >= 0.0 and thetas.max() <= 1.0):  # NaN fails both
-        raise ValueError("tie-break numbers must lie in [0, 1]")
-    x_col, ys, ts = scalar_column(training), training.ys.tolist(), thetas.tolist()
-    k = len(ys)
+    k = len(training)
+    thetas = _tie_breaks(thetas, k)
     less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
-    h = pairs = sizes = singles = dup = None
+    if _repeats_a_pair(training.ys, thetas):
+        for n in range(1, k):
+            test = training.row(n)
+            band = hcps_band(training.head(n), test.x, thetas[: n + 1])
+            less[n - 1] = round(band.evaluate(test.y, 0.0) * (n + 1))
+            upto[n - 1] = round(band.evaluate(test.y, 1.0) * (n + 1))
+        return less, upto
+    x_col, ys, ts = scalar_column(training), training.ys.tolist(), thetas.tolist()
+    h = pairs = sizes = singles = None
 
-    def tally(c, lst, sign):
-        # Singletons by sign, other cells without duplicates by size.
+    def tally(lst, sign):
+        # Singletons by sign, other cells by size, empty ones not at all.
         if len(lst) == 1:
             singles[lst[0][0] >= 0] += sign
-        elif c not in dup:
+        elif lst:
             s = len(lst)
             sizes[s] = sizes.get(s, 0) + sign
             if not sizes[s]:
                 del sizes[s]
-
-    def key_counts(lst, c, a, m):
-        # Keys of the points of one cell below a / m, and at or below it.
-        if len(lst) == 1:
-            key = int(lst[0][0] >= 0)
-            return int(key * m < a), int(key * m <= a)
-        q = a * (len(lst) - 1)
-        if c not in dup:
-            return -(-q // m), q // m + 1
-        ranks = [bisect.bisect_right(lst, p) - 1 for p in lst]
-        return sum(r * m < q for r in ranks), sum(r * m <= q for r in ranks)
 
     for n in range(1, k):
         if h_schedule(n) != h:
             h = h_schedule(n)
             # Cells of every row that steps n to 8n - 1 read.
             cells = cell_indices(x_col[: 8 * n], h).tolist()
-            pairs, sizes, singles, dup = {}, {}, [0, 0], set()
+            pairs, sizes, singles = {}, {}, [0, 0]
             for i in range(n):
                 pairs.setdefault(cells[i], []).append((ys[i], ts[i]))
-            for c, lst in pairs.items():
+            for lst in pairs.values():
                 lst.sort()
-                if any(map(tuple.__eq__, lst, lst[1:])):
-                    dup.add(c)
-                tally(c, lst, 1)
+                tally(lst, 1)
         else:
             lst = pairs.setdefault(cells[n - 1], [])
-            if lst:
-                tally(cells[n - 1], lst, -1)
-            pair = (ys[n - 1], ts[n - 1])
-            i = bisect.bisect_right(lst, pair)
-            if i and lst[i - 1] == pair:
-                dup.add(cells[n - 1])
-            lst.insert(i, pair)
-            tally(cells[n - 1], lst, 1)
-        pair, c = (ys[n], ts[n]), cells[n]
-        lst = pairs.get(c, [])
-        lo, hi = bisect.bisect_left(lst, pair), bisect.bisect_right(lst, pair)
-        a, m = (hi, len(lst)) if lst else (int(ys[n] >= 0), 1)
+            tally(lst, -1)
+            bisect.insort(lst, (ys[n - 1], ts[n - 1]))
+            tally(lst, 1)
+        # The test cell is counted in-cell, so it is tallied out meanwhile.
+        lst = pairs.get(cells[n], [])
+        tally(lst, -1)
+        lo = bisect.bisect(lst, (ys[n], ts[n]))
+        a, m = (lo, len(lst)) if lst else (int(ys[n] >= 0), 1)
         below = singles[0] if a else 0
         at_or_below = singles[0] + (singles[1] if a == m else 0)
         for s, cells_of_size in sizes.items():
             below += cells_of_size * -(-a * (s - 1) // m)
             at_or_below += cells_of_size * (a * (s - 1) // m + 1)
-        for d in dup:
-            b, e = key_counts(pairs[d], d, a, m)
-            below, at_or_below = below + b, at_or_below + e
-        if lst:
-            b, e = key_counts(lst, c, a, m)
-            below, at_or_below = below - b, at_or_below - e
+        tally(lst, 1)
         less[n - 1] = lo + below
-        upto[n - 1] = hi + 1 + at_or_below
+        upto[n - 1] = lo + 1 + at_or_below
     return less, upto

@@ -239,6 +239,20 @@ def test_nn_online_ties_never_shorten_its_blocks(monkeypatch):
     assert draws == 2 + 3 * (steps - 2)
 
 
+def test_hist_conformal_online_coverage_builds_no_band(monkeypatch):
+    # Stream tie-break numbers repeat no (y, theta) pair, so hcps_online
+    # never falls back to a band per step.
+    import cpskit.harness as harness
+    import cpskit.transducers as transducers
+
+    def refuse(*args):
+        raise AssertionError("a band was built")
+
+    monkeypatch.setattr(transducers, "hcps_band", refuse)
+    monkeypatch.setattr(harness, "hcps_band", refuse)
+    online_coverage("hist-conformal", ONLINE_SAMPLERS["p1"], 512, 0.1, 12)
+
+
 class _OnePointSampler(Sampler):
     """One predictor value, so that every row ties with every other and the
     tie lists grow at every step; responses on a grid with -0.0 and 0.0."""

@@ -320,11 +320,11 @@ def test_columns_round_trip_in_any_dimension(rows):
 
 
 @st.composite
-def online_problems(draw, max_k=24, systems=("dh", "nn", "hist-conformal")):
+def online_problems(draw, max_k=24, systems=("dh", "nn", "hist-conformal"), unique=False):
     """(system, rows, tie-break numbers, seed) for the online protocol, with
-    duplicated predictors, responses and tie-break numbers; predictors of
-    dimension 1 to 3 for nn, where +-1e200 makes squared distances
-    overflow to inf."""
+    duplicated predictors, responses and (unless ``unique``) tie-break
+    numbers; predictors of dimension 1 to 3 for nn, where +-1e200 makes
+    squared distances overflow to inf."""
     system = draw(st.sampled_from(list(systems)))
     d = draw(st.integers(1, 3)) if system == "nn" else 1
     k = draw(st.integers(2, max_k))
@@ -333,7 +333,7 @@ def online_problems(draw, max_k=24, systems=("dh", "nn", "hist-conformal")):
     xs = draw(st.lists(st.tuples(*[coord] * d), min_size=k, max_size=k))
     ys = draw(st.lists(st.one_of(st.sampled_from(RESPONSE_POOL[:5]), responses),
                        min_size=k, max_size=k))
-    theta = draw(st.lists(thetas, min_size=k, max_size=k))
+    theta = draw(st.lists(thetas, min_size=k, max_size=k, unique=unique))
     return system, Columns(xs, ys), np.array(theta), draw(st.integers(0, 3))
 
 
@@ -349,6 +349,18 @@ def test_online_counts_are_the_band_at_every_step(problem):
         band = spec.band(rows.head(n), test.x, band_stream, theta[: n + 1], None)
         assert band_pair(band, test.y) == (less[n - 1] / (n + 1), upto[n - 1] / (n + 1)), n
     assert band_stream.draws == online_stream.draws
+
+
+@SETTINGS
+@given(online_problems(systems=("hist-conformal",), unique=True))
+def test_hcps_online_with_distinct_tie_breaks_builds_no_band(problem):
+    # Distinct tie-break numbers repeat no (y, theta) pair, so every step is
+    # counted from the cell lists, over the same tied predictors and responses.
+    def refuse(*args):
+        raise AssertionError("hcps_online built a band")
+
+    with mock.patch.object(transducers, "hcps_band", refuse):
+        test_online_counts_are_the_band_at_every_step.hypothesis.inner_test(problem)
 
 
 @SETTINGS

@@ -4,7 +4,8 @@ The tracer wraps cpskit functions by name in the modules that call them and
 raises KeyError on a name that is gone, so a clean-up that drops an import
 would break the traced benchmark without failing any other test.  The
 converse holds too: a name that ``cpskit/harness.py`` or ``cpskit/cli.py``
-imports and never reads is there only for the tracer.
+imports and never reads is there only for the tracer.  Apart from the
+tracer, the package must import nothing but numpy and the standard library.
 """
 
 import ast
@@ -93,3 +94,21 @@ def test_bands_support_what_the_traced_diagnostics_read():
         rec.op_bands = [band]
         d = bench.diagnostics(workloads.Op(0, "dh", None, 1, max(m, 1), {}), rec)
         assert (d["jumps"], d["max_slack"]) == (m, slack)
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # ROADMAP item 2: numpy is the one declared dependency; scipy may be
+    # installed but must not be imported.
+    src = Path(cli.__file__).parent
+    outside = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}}
+    assert outside == set()

@@ -229,6 +229,12 @@ def test_dh_online_peak_memory_is_linear(digits):
     assert peak <= 80 * k
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dh_online_rejects_non_finite_responses(bad):
+    with pytest.raises(ValueError, match="responses must be finite"):
+        dh_online([1.0, bad, 0.5])
+
+
 # --- nearest-neighbour band -------------------------------------------------
 
 
@@ -415,6 +421,54 @@ def test_tie_break_numbers_outside_the_unit_interval_raise(theta):
     assert band.evaluate(0.5, 0.5) == conformal_pvalue(
         measure, training, obs(0.15, 0.5), 0.5, thetas=thetas
     ) == (less[-1] + 0.5 * (upto[-1] - less[-1])) / 4
+
+
+@pytest.mark.parametrize(
+    "thetas", [[0.25, 0.5, 0.75], [0.25, 0.5, 0.75, 0.5, 0.1], [[0.25, 0.5], [0.75, 0.5]]],
+    ids=["three", "five", "2x2"],
+)
+def test_a_wrong_count_of_tie_break_numbers_raises(thetas):
+    training = [obs(0.1, 0.0), obs(0.2, 1.0), obs(0.6, -1.0)]
+    cols = Columns.from_observations(training + [obs(0.15, 0.5)])
+    with pytest.raises(ValueError, match="need 4 tie-break numbers"):
+        hcps_band(training, 0.15, thetas=thetas)
+    with pytest.raises(ValueError, match="need 4 tie-break numbers"):
+        hcps_online(cols, thetas)
+
+
+def test_a_pair_repeats_only_when_both_numbers_do():
+    from cpskit.transducers import _repeats_a_pair
+
+    t = np.array([0.5, 0.25, 0.5, 0.5])
+    assert not _repeats_a_pair(np.array([1.0, 1.0, 2.0, 3.0]), t)
+    assert _repeats_a_pair(np.array([1.0, 1.0, 2.0, 1.0]), t)
+    assert _repeats_a_pair(np.array([0.0, 1.0, 2.0, -0.0]), t)  # -0.0 == 0.0
+    assert not _repeats_a_pair(np.ones(4), np.array([0.5, 0.25, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "j, xj", [(5, 0.2), (5, 1.7), (19, 0.2)], ids=["one cell", "two cells", "test row"]
+)
+def test_hcps_online_with_a_repeated_pair_matches_the_transducer(j, xj, monkeypatch):
+    # Row 2 sits at x = 0.2 and row j repeats its (y, theta) pair, in its
+    # cell or in another one at every width; row 19 is only ever tested.
+    import cpskit.transducers as transducers
+
+    k, rng = 20, np.random.default_rng(5)
+    xs, ys, thetas = 2 * rng.random(k), np.round(rng.normal(size=k), 1), rng.random(k)
+    xs[2], xs[j] = 0.2, xj
+    ys[j], thetas[j] = ys[2], thetas[2]
+    rows = Columns(xs, ys)
+    band, built = transducers.hcps_band, []
+    monkeypatch.setattr(transducers, "hcps_band", lambda *a: built.append(a) or band(*a))
+    less, upto = hcps_online(rows, thetas)
+    assert len(built) == k - 1
+    for n in range(1, k):
+        measure = partial(histogram_score, n_for_partition=n)
+        training, test = rows.observations()[:n], rows.row(n)
+        for tau, count in ((0.0, less[n - 1]), (1.0, upto[n - 1])):
+            p = conformal_pvalue(measure, training, test, tau, thetas=thetas[: n + 1])
+            assert p == count / (n + 1), (n, tau)
 
 
 # --- probability forecaster ---------------------------------------------------
@@ -686,7 +740,7 @@ def test_hcps_band_counts_from_cell_sizes_match_sorting_every_key(n, block, monk
         assert hcps_band(columns, x, thetas=thetas).to_json() == want.to_json()
 
 
-def test_hcps_band_ranks_only_the_cells_with_a_repeated_pair(monkeypatch):
+def test_hcps_band_keys_every_out_of_cell_point_once_a_pair_repeats(monkeypatch):
     import cpskit.transducers as transducers
 
     n = 2000
@@ -702,8 +756,8 @@ def test_hcps_band_ranks_only_the_cells_with_a_repeated_pair(monkeypatch):
     monkeypatch.setattr(transducers, "_cell_rank_keys", refuse)
     assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
 
-    # Two rows of the cell [0, 1/8) now share one (y, theta) pair: that cell
-    # alone is ranked, and the test cell holds 0.9.
+    # Two rows of the cell [0, 1/8) now share one (y, theta) pair: every
+    # point outside the test cell, which holds 0.9, is keyed.
     i, j = np.flatnonzero(columns.xs[:, 0] < 0.125)[:2]
     ys = columns.ys.copy()
     ys[j], thetas[j] = ys[i], thetas[i]
@@ -717,5 +771,6 @@ def test_hcps_band_ranks_only_the_cells_with_a_repeated_pair(monkeypatch):
 
     monkeypatch.setattr(transducers, "_cell_rank_keys", spy)
     assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
-    (cells,) = seen
-    assert cells.tolist() == [0.0] * np.count_nonzero(columns.xs[:, 0] < 0.125)
+    (keyed,) = seen
+    cells, c_test = transducers._cells(columns, 0.9)
+    assert keyed.tolist() == cells[cells != c_test].tolist()
