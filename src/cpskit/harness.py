@@ -398,19 +398,16 @@ def _demo_score(xlab: int, y: Fraction) -> Fraction:
     return a * y + b
 
 
-def _demo_pvalue_mean(train, test_x: int, y: Fraction) -> Fraction:
-    """tau-averaged rank p-value for one training point, exact."""
-    s_train = _demo_score(train[0], train[1])
-    s_cand = _demo_score(test_x, y)
-    less = 1 if s_train < s_cand else 0
-    tied = (1 if s_train == s_cand else 0) + 1
-    return (less + Fraction(1, 2) * tied) / 2
-
-
 def _demo_jump(train, test_x: int) -> Fraction:
     """Response where the candidate's score crosses the training score."""
     a, b = _DEMO_COEFFS[test_x]
     return (_demo_score(train[0], train[1]) - b) / a
+
+
+def _demo_pvalue_mean(train, test_x: int) -> Fraction:
+    """tau-averaged rank p-value at response 0 for one training point: the
+    value at tau = 1/2 of the rank band of the crossing, exact as a quarter."""
+    return Fraction(dh_band([float(_demo_jump(train, test_x))]).evaluate(0.0, 0.5))
 
 
 def marginal_calibration_exchangeable() -> tuple[Fraction, Fraction, tuple[Fraction, Fraction]]:
@@ -424,7 +421,7 @@ def marginal_calibration_exchangeable() -> tuple[Fraction, Fraction, tuple[Fract
     a, b = _DEMO_POINTS
     sequences = [(a, b), (b, a)]  # (training point, test point), each weight 1/2
     y0 = Fraction(0)
-    lhs = sum(_demo_pvalue_mean(tr, te[0], y0) for tr, te in sequences) / len(sequences)
+    lhs = sum(_demo_pvalue_mean(tr, te[0]) for tr, te in sequences) / len(sequences)
     rhs = sum(Fraction(1 if te[1] <= y0 else 0) for _, te in sequences) / len(sequences)
     jumps = tuple(_demo_jump(tr, te[0]) for tr, te in sequences)
     return lhs, rhs, jumps
@@ -440,7 +437,7 @@ def marginal_calibration_iid() -> tuple[Fraction, Fraction, tuple[Fraction, ...]
     a, b = _DEMO_POINTS
     sequences = [(a, b), (b, a), (a, a), (b, b)]  # each weight 1/4
     y0 = Fraction(0)
-    per_sequence = tuple(_demo_pvalue_mean(tr, te[0], y0) for tr, te in sequences)
+    per_sequence = tuple(_demo_pvalue_mean(tr, te[0]) for tr, te in sequences)
     lhs = sum(per_sequence) / len(sequences)
     rhs = sum(Fraction(1 if te[1] <= y0 else 0) for _, te in sequences) / len(sequences)
     return lhs, rhs, per_sequence

@@ -21,7 +21,6 @@ below it, the candidate's included): the step's band takes the values
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +31,7 @@ from .core import (
     Observation,
     PredictiveBand,
     RandomStream,
+    _finite,
     as_columns,
 )
 from .conformity import _pick_at, _pick_response
@@ -64,9 +64,7 @@ def _extend(training, candidate, thetas):
     n = len(training)
     if thetas is None:
         return list(training), candidate
-    thetas = [float(t) for t in thetas]
-    if len(thetas) != n + 1:
-        raise ValueError(f"need {n + 1} tie-break numbers, got {len(thetas)}")
+    thetas = _tie_breaks(thetas, n + 1).tolist()
     seq = [ExtendedObservation(o, t) for o, t in zip(training, thetas)]
     return seq, ExtendedObservation(candidate, thetas[n])
 
@@ -178,7 +176,8 @@ def _ecdf_band(values) -> PredictiveBand:
 def _cells(training: Columns, x) -> tuple[np.ndarray, float]:
     """Cell of every training predictor and of ``x``, at width ``h_schedule(n)``."""
     h = h_schedule(len(training))
-    cells = cell_indices(np.append(scalar_column(training), scalar_predictor(x)), h)
+    x = _finite(scalar_predictor(x), "predictor component")
+    cells = cell_indices(np.append(scalar_column(training), x), h)
     return cells[:-1], cells[-1]
 
 
@@ -292,9 +291,16 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# The distance matrix is built in row blocks of about 2**20 entries (8 MB),
-# so that memory does not grow as n**2.
-_NN_BLOCK_DISTANCES = 1 << 20
+# ``nn_band`` builds its distance matrix in row blocks, and ``nn_online``
+# takes its steps in blocks, of about 2**17 distances (1 MB), so that memory
+# does not grow as n**2; ``nn_online``'s blocks hold at most 64 steps.
+# Larger blocks were measured no faster.  While the training rows are few, a
+# long online block changes the nearest rows of most of them, and the
+# running minimum then covers most rows.  In a fresh process, blocks of
+# 2**20 distances made 10^4 online steps take 0.63 s instead of 0.40 s on a
+# 2-vCPU shared host, with 7 times the page faults.
+_NN_BLOCK_DISTANCES = 1 << 17
+_NN_ONLINE_BLOCK_STEPS = 64
 
 
 def nn_band(
@@ -350,17 +356,6 @@ def nn_band(
     return _rank_band(crossings)
 
 
-# ``nn_online`` takes its steps in blocks of at most 64 steps and about 2**17
-# distances (1 MB), so that memory does not grow as steps**2.  Larger blocks
-# were measured no faster.  While the training rows are few, a long block
-# changes the nearest rows of most of them, and the running minimum then
-# covers most rows.  In a fresh process, blocks of 2**20 distances made
-# 10^4 steps take 0.63 s instead of 0.40 s on a 2-vCPU shared host, with
-# 7 times the page faults.
-_NN_ONLINE_BLOCK_DISTANCES = 1 << 17
-_NN_ONLINE_BLOCK_STEPS = 64
-
-
 def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     """Online counts of ``nn_band``, from per-row nearest-neighbour state,
     a block of steps at a time.
@@ -391,9 +386,9 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
     # use must be finite.
     with np.errstate(over="ignore"):
         while s < k:
-            # Steps s..e-1 against rows 0..m-1, m = e-1: the most steps whose
-            # (steps x rows) distances fit the bound.
-            size = (math.isqrt((s - 1) ** 2 + 4 * _NN_ONLINE_BLOCK_DISTANCES) - s + 1) // 2
+            # Steps s..e-1 against rows 0..m-1, m = e-1 <= s + 63: as many
+            # steps as the bound allows against s + 63 rows.
+            size = _NN_BLOCK_DISTANCES // (s + _NN_ONLINE_BLOCK_STEPS - 1)
             e = min(k, s + max(1, min(size, _NN_ONLINE_BLOCK_STEPS)))
             steps, m, at = np.arange(s, e), e - 1, np.arange(e - s)
             dist = _sq_dists(xs[s:e], xs[:m])
@@ -598,9 +593,25 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sort(np.where(mates > 0, rank, y >= 0) / np.maximum(mates, 1))
 
 
-# The size counts take the (cell sizes x keys) products in blocks of about
-# 2**20 entries (8 MB), so that memory does not grow as their product.
-_HCPS_BLOCK_COUNTS = 1 << 20
+def _size_counts(a, m: int, zeros: int, ones: int, sizes: dict[int, int]):
+    """Counts of the keys below ``a / m`` and at or below it, for an int
+    ``a`` or an int64 array of them, over cells of points each scored
+    within its own cell, no two of them sharing a ``(y, t)`` pair.
+
+    ``sizes`` maps each cell size ``N + 1 >= 2`` to its number of cells.
+    Such a cell holds the keys ``r / N``, ``r = 0..N``: ``ceil(a * N / m)``
+    of them lie below ``a / m`` and ``floor(a * N / m) + 1`` at or below it,
+    exactly in int64 as ``a * N <= n**2`` (``n`` below about ``3 * 10**9``).
+    A singleton is keyed by the sign of its response: ``zeros`` of them have
+    the key 0 (``y < 0``) and ``ones`` the key 1 (``y >= 0``, ``-0.0``
+    included).
+    """
+    below, upto = zeros * (a > 0), zeros + ones * (a == m)
+    for size, cells in sizes.items():
+        q = a * (size - 1)
+        below += cells * -(-q // m)
+        upto += cells * (q // m + 1)
+    return below, upto
 
 
 def _out_of_cell_counts(c, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -609,19 +620,14 @@ def _out_of_cell_counts(c, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
     ``a / m`` and at or below it, as two int64 arrays indexed by
     ``a = 0..m``.
 
-    When no two points share a ``(y, t)`` pair, a cell of ``N + 1 >= 2``
-    points holds the keys ``r / N``, ``r = 0..N``: ``ceil(a * N / m)`` of
-    them lie below ``a / m`` and ``floor(a * N / m) + 1`` at or below it, so
-    the cells are counted once per distinct size.  A singleton's key is 1
-    when ``y >= 0`` (``-0.0`` included) and 0 otherwise.  When a pair
-    repeats, every point is keyed by ``_cell_rank_keys`` and counted by
-    binary search.
+    When no two points share a ``(y, t)`` pair, the cells are counted by
+    ``_size_counts`` from their sizes.  When a pair repeats, every point is
+    keyed by ``_cell_rank_keys`` and counted by binary search.
     """
     a = np.arange(m + 1)
     if _repeats_a_pair(y, t):
         keys = _cell_rank_keys(c, y, t)
         return keys.searchsorted(a / m), keys.searchsorted(a / m, "right")
-    below, upto = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
     order = c.argsort()
     cs = c[order]
     bounds = np.ones(len(c) + 1, dtype=bool)
@@ -630,18 +636,9 @@ def _out_of_cell_counts(c, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
     sizes = np.diff(bounds)
     ones = np.count_nonzero(y[order[bounds[:-1][sizes == 1]]] >= 0)
     cells_of_size = np.bincount(sizes, minlength=2)
-    zeros = cells_of_size[1] - ones
-    below[1:] += zeros
-    upto += zeros
-    upto[m] += ones
     s = np.flatnonzero(cells_of_size[2:]) + 2
-    w = cells_of_size[s]
-    block = max(1, _HCPS_BLOCK_COUNTS // max(len(s), 1))
-    for lo in range(0, len(a), block):
-        q = (s[:, None] - 1) * a[None, lo : lo + block]  # a * N <= n**2
-        below[lo : lo + block] += w @ ((q + (m - 1)) // m)
-        upto[lo : lo + block] += w @ (q // m)
-    return below, upto + w.sum()
+    counts = dict(zip(s.tolist(), cells_of_size[s].tolist()))
+    return _size_counts(a, m, int(cells_of_size[1]) - ones, ones, counts)
 
 
 def hcps_band(
@@ -670,11 +667,9 @@ def hcps_band(
     the test cell do not depend on ``y``, and neither do their counts below
     and at or below each candidate key ``a / m``.
 
-    Those counts are exact integer comparisons: when no two points outside
-    the test cell share a ``(y, theta)`` pair, a cell of ``N + 1`` of them
-    holds the keys ``r / N``, and ``r / N < a / m`` exactly when
-    ``r * m < a * N``.  As ``a * N <= n**2``, this holds in int64 for ``n``
-    below about ``3 * 10**9``.  Once two share a pair, which tied tie-break
+    Those counts are exact: when no two points outside the test cell share
+    a ``(y, theta)`` pair, ``_size_counts`` takes them from the cell sizes
+    in int64 arithmetic.  Once two share a pair, which tied tie-break
     numbers alone can give, every one of them is keyed as a double ``a / N``
     and counted by binary search.  These keys compare exactly as the
     rationals do: integer division is correctly rounded, so equal rationals
@@ -736,12 +731,10 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     pairs in the test cell lie below the candidate's, and its key is
     ``a / m = lo / m``, or ``a / 1`` by the sign rule in an empty cell.  The
     step's counts are ``lo`` and ``lo + 1`` plus the keys below, and at or
-    below, ``a / m`` of the other cells: a cell of ``N + 1`` points holds
-    the keys ``r / N``, ``r = 0..N``, so its counts (``r * m < a * N``,
-    exactly) depend on its size alone and are taken once per distinct size.
-    A repeated pair gives each step's ``hcps_band`` counts instead, in
-    O(n log n) a step: its values ``count / (n + 1)`` round back exactly
-    for ``n < 2**26``.
+    below, ``a / m`` of the other cells, which ``_size_counts`` takes from
+    their sizes.  A repeated pair gives each step's ``hcps_band`` counts
+    instead, in O(n log n) a step: its values ``count / (n + 1)`` round back
+    exactly for ``n < 2**26``.
     """
     k = len(training)
     thetas = _tie_breaks(thetas, k)
@@ -787,11 +780,7 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
         tally(lst, -1)
         lo = bisect.bisect(lst, (ys[n], ts[n]))
         a, m = (lo, len(lst)) if lst else (int(ys[n] >= 0), 1)
-        below = singles[0] if a else 0
-        at_or_below = singles[0] + (singles[1] if a == m else 0)
-        for s, cells_of_size in sizes.items():
-            below += cells_of_size * -(-a * (s - 1) // m)
-            at_or_below += cells_of_size * (a * (s - 1) // m + 1)
+        below, at_or_below = _size_counts(a, m, singles[0], singles[1], sizes)
         tally(lst, 1)
         less[n - 1] = lo + below
         upto[n - 1] = lo + 1 + at_or_below

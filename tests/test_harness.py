@@ -217,7 +217,7 @@ def test_nn_online_in_small_blocks_matches_the_registry_band(sampler_id, bound, 
     # Blocks of one or a few steps put block edges among the ties and draws.
     import cpskit.transducers as transducers
 
-    monkeypatch.setattr(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound)
+    monkeypatch.setattr(transducers, "_NN_BLOCK_DISTANCES", bound)
     test_online_counts_match_the_registry_band("nn", sampler_id, 64)
 
 
@@ -267,7 +267,7 @@ class _OnePointSampler(Sampler):
 def test_nn_online_tie_lists_draw_as_the_per_step_bands(bound, monkeypatch):
     import cpskit.transducers as transducers
 
-    monkeypatch.setattr(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound)
+    monkeypatch.setattr(transducers, "_NN_BLOCK_DISTANCES", bound)
     monkeypatch.setitem(ONLINE_SAMPLERS, "one point", _OnePointSampler())
     test_online_counts_match_the_registry_band("nn", "one point", 100)
 

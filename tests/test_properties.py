@@ -367,5 +367,5 @@ def test_hcps_online_with_distinct_tie_breaks_builds_no_band(problem):
 @given(online_problems(max_k=40, systems=("nn",)), st.sampled_from([1, 2, 7, 300]))
 def test_nn_online_counts_in_small_blocks_are_the_band_at_every_step(problem, bound):
     # Blocks of one or a few steps put block edges among the ties and draws.
-    with mock.patch.object(transducers, "_NN_ONLINE_BLOCK_DISTANCES", bound):
+    with mock.patch.object(transducers, "_NN_BLOCK_DISTANCES", bound):
         test_online_counts_are_the_band_at_every_step.hypothesis.inner_test(problem)

@@ -434,6 +434,9 @@ def test_a_wrong_count_of_tie_break_numbers_raises(thetas):
         hcps_band(training, 0.15, thetas=thetas)
     with pytest.raises(ValueError, match="need 4 tie-break numbers"):
         hcps_online(cols, thetas)
+    measure = partial(histogram_score, n_for_partition=len(training))
+    with pytest.raises(ValueError, match="need 4 tie-break numbers"):
+        conformal_pvalue(measure, training, obs(0.15, 0.5), 0.5, thetas=thetas)
 
 
 def test_a_pair_repeats_only_when_both_numbers_do():
@@ -489,6 +492,20 @@ def test_pfs_distribution_is_right_continuous_distribution_function():
     band = pfs_distribution([obs(0.1, 2.0), obs(0.2, 5.0)], 0.15)
     assert band.is_distribution_function()
     assert band.evaluate(2.0, 0.0) == band.evaluate(2.0 + 1e-9, 0.0)
+
+
+@pytest.mark.parametrize(
+    "builder", [hmps_band, partial(hcps_band, thetas=[0.5] * 9), pfs_distribution],
+    ids=["hmps", "hcps", "pfs"],
+)
+def test_histogram_builders_reject_a_non_finite_test_predictor(builder):
+    # Eight rows give cells of width 0.5, where 1e308 / 0.5 overflows.
+    training = Columns(np.arange(1, 9) / 10, np.arange(8.0))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            builder(training, x)
+    with pytest.raises(ValueError, match="too large"):
+        builder(training, 1e308)
 
 
 # --- postulated-response family ----------------------------------------------
@@ -729,12 +746,8 @@ def _hcps_size_count_cases(n, rng):
                     yield columns, x, thetas
 
 
-@pytest.mark.parametrize("n, block", [(2000, 64), (20000, None)])
-def test_hcps_band_counts_from_cell_sizes_match_sorting_every_key(n, block, monkeypatch):
-    import cpskit.transducers as transducers
-
-    if block is not None:  # many blocks of the (cell sizes x keys) products
-        monkeypatch.setattr(transducers, "_HCPS_BLOCK_COUNTS", block)
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_hcps_band_counts_from_cell_sizes_match_sorting_every_key(n):
     for columns, x, thetas in _hcps_size_count_cases(n, np.random.default_rng(n)):
         want = _hcps_band_sorting_every_key(columns, x, thetas)
         assert hcps_band(columns, x, thetas=thetas).to_json() == want.to_json()
