@@ -214,6 +214,8 @@ def _cmd_validate(args) -> int:
         raise ValueError(
             f"--online applies to conformal systems only, not {args.system!r}"
         )
+    if args.online and not 0.0 <= args.epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
     tau = _parse_tau(args.tau)
     sampler = SAMPLERS[args.sampler]
     seed = _seed_of(args)

@@ -402,9 +402,9 @@ class RandomStream:
 
     def uniforms(self, k: int) -> np.ndarray:
         """``k`` draws from U[0, 1) as a float64 array."""
-        k = int(k)
-        self.draws += k
-        return self._gen.random(k)
+        out = self._gen.random(int(k))
+        self.draws += len(out)
+        return out
 
     def permutation(self, k: int) -> list[int]:
         """A uniformly random permutation of range(k)."""

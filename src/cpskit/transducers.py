@@ -532,6 +532,10 @@ def venn_distribution(
         raise ValueError("venn_distribution requires at least one training observation")
     test = Observation(x, u)
     if isinstance(training, Columns):
+        if len(test.x) != training.d:
+            raise ValueError(
+                f"x has dimension {len(test.x)}, training predictors have {training.d}"
+            )
         seq = Columns._adopt(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
     else:
         seq = list(training) + [test]
@@ -572,7 +576,7 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sorted ``histogram_score`` keys of points with cells ``c``, responses
     ``y`` and tie-break numbers ``t``, each scored within its own cell.
 
-    ``hcps_band`` keys every out-of-cell point this way once two points
+    ``_out_of_cell_counts`` keys every point this way once two of them
     share a ``(y, t)`` pair; otherwise it counts every cell from its size.
     A point's key is its rank ``a`` (cell mates, itself included, whose
     ``(y, t)`` pair is <= its own, less one) over ``N = cell size - 1``, or
@@ -614,17 +618,19 @@ def _size_counts(a, m: int, zeros: int, ones: int, sizes: dict[int, int]):
     return below, upto
 
 
-def _out_of_cell_counts(c, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """How many of the keys of the points with cells ``c``, responses ``y``
-    and tie-break numbers ``t``, each scored within its own cell, lie below
-    ``a / m`` and at or below it, as two int64 arrays indexed by
-    ``a = 0..m``.
+def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """How many of the keys of the points with cells ``c`` other than
+    ``c_test``, responses ``y`` and tie-break numbers ``t``, each scored
+    within its own cell, lie below ``a / m`` and at or below it, as two
+    int64 arrays indexed by ``a = 0..m``.
 
     When no two points share a ``(y, t)`` pair, the cells are counted by
     ``_size_counts`` from their sizes.  When a pair repeats, every point is
     keyed by ``_cell_rank_keys`` and counted by binary search.
     """
     a = np.arange(m + 1)
+    out = c != c_test
+    c, y, t = c[out], y[out], t[out]
     if _repeats_a_pair(y, t):
         keys = _cell_rank_keys(c, y, t)
         return keys.searchsorted(a / m), keys.searchsorted(a / m, "right")
@@ -650,9 +656,9 @@ def hcps_band(
     """Band of the rank p-value driven by the in-cell rank score at ``x``.
 
     Tie-break numbers ``thetas`` (length ``n + 1``; drawn from ``stream`` when
-    omitted) make scores almost surely distinct.  The band's jumps are a
-    subset of the in-cell responses of the cell of ``x`` (plus 0 when the
-    cell is empty); between consecutive in-cell responses every score is
+    omitted) make scores almost surely distinct.  The band's jumps are the
+    distinct in-cell responses of the cell of ``x`` (0 alone when the cell
+    is empty); between consecutive in-cell responses every score is
     constant, so the construction is exact.  Agrees with
     ``conformal_pvalue(histogram_score, ...)`` at every ``(y, tau)``.
 
@@ -665,7 +671,9 @@ def hcps_band(
     the points below ``v`` and those of ``G`` with a smaller ``theta`` score
     less, and those of ``G`` with an equal ``theta`` tie.  Scores outside
     the test cell do not depend on ``y``, and neither do their counts below
-    and at or below each candidate key ``a / m``.
+    and at or below each candidate key ``a / m``, which never fall as ``a``
+    grows.  So every jump raises the lower value, as ``B`` rises there, or
+    with the test cell empty (``a`` going 0 to 1) the lower or the upper one.
 
     Those counts are exact: when no two points outside the test cell share
     a ``(y, theta)`` pair, ``_size_counts`` takes them from the cell sizes
@@ -707,45 +715,28 @@ def hcps_band(
     else:
         # Empty test cell: the candidate scores by the sign rule alone.
         jumps, less, tied, a = np.zeros(1), np.zeros(3, dtype=np.int64), 0, np.array([0, 1, 1])
-    out = ~in_test
-    out_below, out_upto = _out_of_cell_counts(
-        cells[out], cols.ys[out], thetas[:n][out], max(m, 1)
-    )
+    out_below, out_upto = _out_of_cell_counts(cells, c_test, cols.ys, thetas[:n], max(m, 1))
     den = n + 1
     lo, hi = (less + out_below[a]) / den, (less + tied + 1 + out_upto[a]) / den
-    p0, a0 = lo[: len(jumps) + 1], lo[len(jumps) + 1 :]
-    p1, a1 = hi[: len(jumps) + 1], hi[len(jumps) + 1 :]
-    # A jump across which nothing changes merges its two plateaus.
-    keep = ~(
-        (p0[:-1] == p0[1:]) & (p1[:-1] == p1[1:]) & (a0 == p0[1:]) & (a1 == p1[1:])
-    )
-    plateaus = np.concatenate(([True], keep))
-    return PredictiveBand._adopt(jumps[keep], p0[plateaus], p1[plateaus], a0[keep], a1[keep])
+    j = len(jumps) + 1
+    return PredictiveBand._adopt(jumps, lo[:j], hi[:j], lo[j:], hi[j:])
 
 
 def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Online counts of ``hcps_band``, from per-cell sorted ``(y, theta)`` lists.
 
     The cells are rebuilt whenever ``h_schedule`` halves (at ``n = 8**k``).
-    With no two rows sharing a ``(y, theta)`` pair, ``lo`` of the ``m``
-    pairs in the test cell lie below the candidate's, and its key is
-    ``a / m = lo / m``, or ``a / 1`` by the sign rule in an empty cell.  The
-    step's counts are ``lo`` and ``lo + 1`` plus the keys below, and at or
-    below, ``a / m`` of the other cells, which ``_size_counts`` takes from
-    their sizes.  A repeated pair gives each step's ``hcps_band`` counts
-    instead, in O(n log n) a step: its values ``count / (n + 1)`` round back
-    exactly for ``n < 2**26``.
+    Of the ``m`` pairs in the test cell, ``lo`` lie below the candidate's
+    and ``hi`` at or below it; its key is ``a / m = hi / m``, or ``a / 1`` by
+    the sign rule in an empty cell.  The step's counts are ``lo`` and
+    ``hi + 1`` plus the keys below, and at or below, ``a / m`` of the other
+    cells: ``_size_counts`` takes them from the cell sizes when no two rows
+    share a pair, and ``_out_of_cell_counts`` otherwise, O(n log n) a step.
     """
     k = len(training)
     thetas = _tie_breaks(thetas, k)
     less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
-    if _repeats_a_pair(training.ys, thetas):
-        for n in range(1, k):
-            test = training.row(n)
-            band = hcps_band(training.head(n), test.x, thetas[: n + 1])
-            less[n - 1] = round(band.evaluate(test.y, 0.0) * (n + 1))
-            upto[n - 1] = round(band.evaluate(test.y, 1.0) * (n + 1))
-        return less, upto
+    repeats = _repeats_a_pair(training.ys, thetas)
     x_col, ys, ts = scalar_column(training), training.ys.tolist(), thetas.tolist()
     h = pairs = sizes = singles = None
 
@@ -763,7 +754,8 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
         if h_schedule(n) != h:
             h = h_schedule(n)
             # Cells of every row that steps n to 8n - 1 read.
-            cells = cell_indices(x_col[: 8 * n], h).tolist()
+            col = cell_indices(x_col[: 8 * n], h)
+            cells = col.tolist()
             pairs, sizes, singles = {}, {}, [0, 0]
             for i in range(n):
                 pairs.setdefault(cells[i], []).append((ys[i], ts[i]))
@@ -772,16 +764,19 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
                 tally(lst, 1)
         else:
             lst = pairs.setdefault(cells[n - 1], [])
-            tally(lst, -1)
             bisect.insort(lst, (ys[n - 1], ts[n - 1]))
             tally(lst, 1)
-        # The test cell is counted in-cell, so it is tallied out meanwhile.
+        # The test cell is counted in-cell, so it stays tallied out until row n joins it.
         lst = pairs.get(cells[n], [])
         tally(lst, -1)
-        lo = bisect.bisect(lst, (ys[n], ts[n]))
-        a, m = (lo, len(lst)) if lst else (int(ys[n] >= 0), 1)
-        below, at_or_below = _size_counts(a, m, singles[0], singles[1], sizes)
-        tally(lst, 1)
+        hi = bisect.bisect(lst, (ys[n], ts[n]))
+        lo = bisect.bisect_left(lst, (ys[n], ts[n])) if repeats else hi
+        a, m = (hi, len(lst)) if lst else (int(ys[n] >= 0), 1)
+        if repeats:
+            counts = _out_of_cell_counts(col[:n], cells[n], training.ys[:n], thetas[:n], m)
+            below, at_or_below = counts[0][a], counts[1][a]
+        else:
+            below, at_or_below = _size_counts(a, m, singles[0], singles[1], sizes)
         less[n - 1] = lo + below
-        upto[n - 1] = lo + 1 + at_or_below
+        upto[n - 1] = hi + 1 + at_or_below
     return less, upto

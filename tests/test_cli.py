@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpskit.cli as cli
 from cpskit.cli import DataError, _read_training, main
 from cpskit.core import Columns
 from cpskit.harness import SAMPLERS, online_coverage
@@ -156,6 +157,45 @@ def test_validate_unknown_system_is_usage_error(capsys):
 def test_system_without_the_needed_property_is_usage_error(capsys, argv):
     code, _ = run(capsys, argv)
     assert code == 1
+
+
+@pytest.mark.parametrize("epsilon", ["-0.1", "1.5", "nan"])
+def test_validate_online_checks_epsilon_before_the_pit_suite(capsys, monkeypatch, epsilon):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the PIT suite ran")
+
+    monkeypatch.setattr(cli, "pit_sample", refuse)
+    code = main(["validate", "--system", "dh", "--online", f"--epsilon={epsilon}"])
+    assert code == 1
+    assert "epsilon must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["band", "--input", "train.csv", "--x", "0.5"],
+    ["band", "--system", "nonesuch", "--input", "train.csv", "--x", "0.5"],
+    ["validate", "--system", "dh", "--n", "ten"],
+    ["consistency", "--system", "dh", "--sampler", "p9"],
+], ids=["no command", "unknown command", "no --system", "unknown --system", "--n not an int",
+        "unknown --sampler"])
+def test_argument_parser_errors_exit_with_usage_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: cpskit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["band", "--system", "dh", "--input", "{d1}", "--x", "0.5", "--u", "nan"],
+    ["band", "--system", "hist-conformal", "--input", "{d2}", "--x", "0.5,0.5"],
+    ["consistency", "--system", "dh", "--ns", "10,x"],
+    ["validate", "--system", "dh", "--trials", "150", "--tau", "fixed:abc"],
+], ids=["--u nan", "scalar-only system on d = 2", "--ns not integers", "--tau value"])
+def test_bad_argument_values_are_usage_errors(capsys, tmp_path, dh_csv, argv):
+    d2 = _csv(tmp_path, "x1,x2,y\n0.0,0.0,1.0\n1.0,1.0,3.0\n", name="d2.csv")
+    assert main([a.format(d1=dh_csv, d2=d2) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("cpskit: error:")
 
 
 def test_consistency_single_row(capsys):

@@ -188,6 +188,14 @@ def test_columns_are_checked_and_frozen():
         cols.ys[0] = 5.0
 
 
+def test_integrate_checks_tau_and_is_zero_without_jumps():
+    band = dh_band([1.0, 3.0])
+    for tau in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="tau must lie in"):
+            band.integrate(math.cos, tau)
+    assert PredictiveBand((), (0.0,), (1.0,), (), ()).integrate(math.cos, 0.5) == 0.0
+
+
 # --- structural invariants ------------------------------------------------
 
 
@@ -213,6 +221,20 @@ def test_band_validation_catches_violations():
     for case in bad_cases:
         with pytest.raises(ValueError):
             PredictiveBand(**case)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((((0.0,),), (0.0, 0.5), (0.5, 1.0), (0.0,), (1.0,)), "one-dimensional"),
+        (((0.0,), (0.0, 0.5), (0.5, 1.0), (), (1.0,)), "at-jump lists"),
+        (((0.0,), (0.0, 0.5), (0.5, 1.0), (0.0,), (1.0, 1.0)), "at-jump lists"),
+    ],
+    ids=["2-D jumps", "short at-jump lower", "long at-jump upper"],
+)
+def test_band_rejects_malformed_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PredictiveBand(*fields)
 
 
 def test_band_validation_names_the_first_violation():
@@ -389,6 +411,15 @@ def test_stream_replica_and_children():
     assert st.child(0).path == (3, 0)
     with pytest.raises(ValueError):
         derive_stream(7, [-1])
+
+
+def test_stream_counts_only_the_draws_it_makes():
+    st = derive_stream(7, [0])
+    with pytest.raises(ValueError):
+        st.uniforms(-1)
+    assert st.draws == 0
+    st.uniforms(3)
+    assert st.draws == 3
 
 
 def test_stream_permutation_is_deterministic():

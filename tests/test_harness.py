@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -129,6 +130,35 @@ def test_pit_sample_fixed_tau_stays_in_range():
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+P1, CLAMP = SAMPLERS["p1"], TEST_FUNCTIONS["clamp"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(pit_sample, "dh", P1, 0, 10, 1), "n must be >= 1"),
+        (partial(pit_sample, "dh", P1, 5, 0, 1), "trials must be >= 1"),
+        (partial(pit_sample, "pfs", P1, 5, 10, 1), "does not define a randomized p-value"),
+        (partial(online_coverage, "dh", P1, 0, 0.1, 1), "steps must be >= 1"),
+        (partial(online_coverage, "dh", P1, 10, -0.1, 1), "epsilon must lie in"),
+        (partial(online_coverage, "dh", P1, 10, 1.5, 1), "epsilon must lie in"),
+        (partial(online_coverage, "dh", P1, 10, math.nan, 1), "epsilon must lie in"),
+        (partial(consistency_curve, "dh", P1, CLAMP, [10], 0, 1), "trials must be >= 1"),
+        (partial(consistency_curve, "dh", P1, CLAMP, [0], 1, 1), "sizes must be >= 1"),
+        (partial(venn_calibration, histogram_taxonomy, P1, 0, 10, [0.0], 1), "n must be >= 1"),
+        (partial(venn_calibration, histogram_taxonomy, P1, 5, 0, [0.0], 1), "trials must be"),
+    ],
+    ids=[
+        "pit n", "pit trials", "pit pfs", "online steps", "online epsilon < 0",
+        "online epsilon > 1", "online epsilon nan", "consistency trials", "consistency n",
+        "venn n", "venn trials",
+    ],
+)
+def test_harness_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- online protocol -----------------------------------------------------------
 
 
@@ -240,8 +270,7 @@ def test_nn_online_ties_never_shorten_its_blocks(monkeypatch):
 
 
 def test_hist_conformal_online_coverage_builds_no_band(monkeypatch):
-    # Stream tie-break numbers repeat no (y, theta) pair, so hcps_online
-    # never falls back to a band per step.
+    # hcps_online counts every step from its cell lists; no step builds a band.
     import cpskit.harness as harness
     import cpskit.transducers as transducers
 

@@ -139,6 +139,9 @@ def test_hcps_band_matches_transducer(problem):
     training, xq, theta = problem
     band = hcps_band(training, xq, thetas=theta)
     assert_invariants(band)
+    # Every jump moves the band, so no two plateaus could merge.
+    _, lower, upper = band.arrays[:3]
+    assert ((lower[1:] > lower[:-1]) | (upper[1:] > upper[:-1])).all()
     assert band == hcps_band(Columns.from_observations(training), xq, thetas=np.array(theta))
     measure = partial(histogram_score, n_for_partition=len(training))
     pvalue = lambda y, tau: conformal_pvalue(

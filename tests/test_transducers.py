@@ -465,7 +465,7 @@ def test_hcps_online_with_a_repeated_pair_matches_the_transducer(j, xj, monkeypa
     band, built = transducers.hcps_band, []
     monkeypatch.setattr(transducers, "hcps_band", lambda *a: built.append(a) or band(*a))
     less, upto = hcps_online(rows, thetas)
-    assert len(built) == k - 1
+    assert len(built) == 0
     for n in range(1, k):
         measure = partial(histogram_score, n_for_partition=n)
         training, test = rows.observations()[:n], rows.row(n)
@@ -506,6 +506,24 @@ def test_histogram_builders_reject_a_non_finite_test_predictor(builder):
             builder(training, x)
     with pytest.raises(ValueError, match="too large"):
         builder(training, 1e308)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        dh_band,
+        lambda t: nn_band(t, 0.5, derive_stream(0, [0])),
+        lambda t: hmps_band(t, 0.5),
+        lambda t: hcps_band(t, 0.5, thetas=[0.5]),
+        lambda t: pfs_distribution(t, 0.5),
+        lambda t: venn_distribution(histogram_taxonomy, t, 0.5, 1.0),
+        lambda t: conformal_pvalue(trivial_score, t, obs(0.5, 1.0), 0.5),
+    ],
+    ids=["dh", "nn", "hmps", "hcps", "pfs", "venn", "oracle"],
+)
+def test_builders_reject_empty_training(build):
+    with pytest.raises(ValueError, match="at least one"):
+        build([])
 
 
 # --- postulated-response family ----------------------------------------------
@@ -551,6 +569,31 @@ def test_venn_distribution_on_columns_labels_the_frozen_rows_and_the_test_row():
     assert band == venn_distribution(taxonomy, training.observations(), (0.15, 2.0), 0.5)
     with pytest.raises(ValueError):  # a test predictor of another dimension
         venn_distribution(taxonomy, training, 0.15, 0.5)
+
+
+@pytest.mark.parametrize(
+    "xs, x", [([[0.1], [0.2]], (0.15, 1.0)), ([[0.1, 1.0], [0.2, 2.0]], 0.15)], ids=["d1", "d2"]
+)
+def test_venn_distribution_rejects_a_test_predictor_of_another_dimension(xs, x):
+    training, d = Columns(xs, [1.0, 2.0]), len(xs[0])
+    message = f"x has dimension {3 - d}, training predictors have {d}"
+    with pytest.raises(ValueError, match=message):
+        venn_distribution(lambda rows: [0] * len(rows), training, x, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tax, t: conformal_pvalue(trivial_score, t, obs(0.15, 1.5), 0.5, taxonomy=tax),
+        lambda tax, t: venn_distribution(tax, t, 0.15, 1.5),
+        lambda tax, t: venn_distribution(tax, Columns.from_observations(t), 0.15, 1.5),
+    ],
+    ids=["oracle", "venn on observations", "venn on columns"],
+)
+def test_a_taxonomy_with_the_wrong_label_count_raises(call):
+    short = lambda rows: [0] * (len(rows) - 1)
+    with pytest.raises(ValueError, match="label all n"):
+        call(short, [obs(0.1, 1.0), obs(0.2, 2.0)])
 
 
 # --- float edges ----------------------------------------------------------------
