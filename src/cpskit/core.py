@@ -336,7 +336,9 @@ class PredictiveBand:
         if not len(jumps):
             return 0.0
         try:
-            values = np.broadcast_to(np.asarray(f(jumps), dtype=np.float64), jumps.shape)
+            values = np.asarray(f(jumps), dtype=np.float64)
+            if values.shape != jumps.shape:
+                values = np.broadcast_to(values, jumps.shape)
         except (TypeError, ValueError):
             values = np.array([float(f(y)) for y in jumps.tolist()])
         bad = ~np.isfinite(values)
@@ -406,8 +408,17 @@ class RandomStream:
         self.draws += len(out)
         return out
 
+    def skip(self, k: int) -> None:
+        """Count and move past the ``k`` draws of ``uniforms(k)`` without making them."""
+        if k < 0:
+            raise ValueError(f"cannot skip {k} draws")
+        self._gen.bit_generator.advance(int(k))  # a double takes one 64-bit state step
+        self.draws += int(k)
+
     def permutation(self, k: int) -> list[int]:
         """A uniformly random permutation of range(k)."""
+        if k < 0:
+            raise ValueError(f"cannot permute {k} items")
         self.draws += 1
         return [int(i) for i in self._gen.permutation(int(k))]
 

@@ -2,7 +2,8 @@
 
 Everything here is bit-reproducible: each trial derives its own stream from
 the master seed, observations are drawn first (two uniforms each), then the
-tie-break numbers in index order, then the single ``tau``.  Stream paths are
+tie-break numbers in index order (skipped at the same stream position for a
+system that reads none), then the single ``tau``.  Stream paths are
 namespaced per experiment so different experiments under one seed never share
 draws: probability-transform sampling uses ``[0, trial]``, the online
 protocol ``[1]``, consistency curves ``[2, n_index, trial]``, and the
@@ -185,7 +186,8 @@ class PredictiveSystemSpec:
     - ``scalar_only``: predictors must be one-dimensional;
     - ``uniform_pit``: under IID data the band's value at the realized
       response, ``band.evaluate(y, tau)``, is exactly uniform (rank bands);
-    - ``postulated``: the band reads the postulated response ``u``.
+    - ``postulated``: the band reads the postulated response ``u``;
+    - ``tie_breaks``: the band and ``online`` read ``thetas`` (None otherwise).
 
     ``online(columns, thetas, stream)``, set only for the conformal systems,
     whose online transforms are independent, gives the online counts of
@@ -197,6 +199,7 @@ class PredictiveSystemSpec:
     scalar_only: bool = False
     uniform_pit: bool = False
     postulated: bool = False
+    tie_breaks: bool = False
     online: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
 
@@ -219,7 +222,7 @@ SYSTEMS: dict[str, PredictiveSystemSpec] = {
         ),
         PredictiveSystemSpec(
             "hist-conformal", lambda tr, x, st, th, u: hcps_band(tr, x, th, st),
-            scalar_only=True, uniform_pit=True,
+            scalar_only=True, uniform_pit=True, tie_breaks=True,
             online=lambda cols, th, st: hcps_online(cols, th),
         ),
         PredictiveSystemSpec(
@@ -247,9 +250,10 @@ def _system(system_id: str) -> PredictiveSystemSpec:
 def _trial(spec, sampler, n, stream, tau):
     """``n + 1`` rows, their tie-break numbers, then tau (unless fixed), all
     from ``stream``; returns the band at the last row's predictor, built
-    from the first ``n``, with the last row and tau."""
+    from the first ``n``, with the last row and tau.  Without ``tie_breaks``
+    the numbers are skipped at the same stream position (``skip`` gives None)."""
     cols = sampler.columns(stream, n + 1)
-    thetas = stream.uniforms(n + 1)
+    thetas = stream.uniforms(n + 1) if spec.tie_breaks else stream.skip(n + 1)
     tau = stream.uniform() if tau is None else float(tau)
     test = cols.row(n)
     return spec.band(cols.head(n), test.x, stream, thetas, None), test, tau
@@ -332,7 +336,7 @@ def online_coverage(
         )
     st = derive_stream(seed, [1])
     cols = sampler.columns(st, steps + 1)
-    thetas = st.uniforms(steps + 1)
+    thetas = st.uniforms(steps + 1) if spec.tie_breaks else st.skip(steps + 1)
     taus = st.uniforms(steps)
     less, upto = spec.online(cols, thetas, st)
     den = np.arange(2, steps + 2)
@@ -369,10 +373,10 @@ def consistency_curve(
         raise ValueError(f"system {system!r} needs a postulated response")
     # Fail fast on a missing oracle before burning trials.
     sampler.conditional_mean(f, 0.5)
+    if not all(n >= 1 for n in ns):
+        raise ValueError("all training sizes must be >= 1")
     rows: list[tuple[int, float]] = []
     for j, n in enumerate(ns):
-        if n < 1:
-            raise ValueError("all training sizes must be >= 1")
         gaps = []
         for t in range(trials):
             band, test, tau_t = _trial(spec, sampler, n, derive_stream(seed, [2, j, t]), tau)

@@ -576,8 +576,8 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sorted ``histogram_score`` keys of points with cells ``c``, responses
     ``y`` and tie-break numbers ``t``, each scored within its own cell.
 
-    ``_out_of_cell_counts`` keys every point this way once two of them
-    share a ``(y, t)`` pair; otherwise it counts every cell from its size.
+    ``_out_of_cell_counts`` keys the out-of-cell points this way once two
+    of its points share a ``(y, t)`` pair; otherwise it counts cell sizes.
     A point's key is its rank ``a`` (cell mates, itself included, whose
     ``(y, t)`` pair is <= its own, less one) over ``N = cell size - 1``, or
     the sign rule when ``N = 0``, divided as ``histogram_score`` divides.
@@ -624,24 +624,26 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
     within its own cell, lie below ``a / m`` and at or below it, as two
     int64 arrays indexed by ``a = 0..m``.
 
-    When no two points share a ``(y, t)`` pair, the cells are counted by
-    ``_size_counts`` from their sizes.  When a pair repeats, every point is
-    keyed by ``_cell_rank_keys`` and counted by binary search.
+    The route is picked on the whole input, test cell included.  When no two
+    points share a ``(y, t)`` pair, the other cells are counted by
+    ``_size_counts`` from their sizes, read off one sort of ``c``.  When
+    a pair repeats, every out-of-cell point is keyed by ``_cell_rank_keys``
+    and counted by binary search.
     """
     a = np.arange(m + 1)
-    out = c != c_test
-    c, y, t = c[out], y[out], t[out]
     if _repeats_a_pair(y, t):
-        keys = _cell_rank_keys(c, y, t)
+        out = c != c_test
+        keys = _cell_rank_keys(c[out], y[out], t[out])
         return keys.searchsorted(a / m), keys.searchsorted(a / m, "right")
-    order = c.argsort()
-    cs = c[order]
+    cs = np.sort(c)
     bounds = np.ones(len(c) + 1, dtype=bool)
     np.not_equal(cs[1:], cs[:-1], out=bounds[1:-1])
     bounds = np.flatnonzero(bounds)
-    sizes = np.diff(bounds)
-    ones = np.count_nonzero(y[order[bounds[:-1][sizes == 1]]] >= 0)
+    cells, sizes = cs[bounds[:-1]], np.diff(bounds)
+    sizes[cells == c_test] = 0
     cells_of_size = np.bincount(sizes, minlength=2)
+    lone = cells[sizes == 1]
+    ones = np.count_nonzero(y[np.isin(c, lone)] >= 0) if len(lone) else 0
     s = np.flatnonzero(cells_of_size[2:]) + 2
     counts = dict(zip(s.tolist(), cells_of_size[s].tolist()))
     return _size_counts(a, m, int(cells_of_size[1]) - ones, ones, counts)
@@ -675,17 +677,17 @@ def hcps_band(
     grows.  So every jump raises the lower value, as ``B`` rises there, or
     with the test cell empty (``a`` going 0 to 1) the lower or the upper one.
 
-    Those counts are exact: when no two points outside the test cell share
-    a ``(y, theta)`` pair, ``_size_counts`` takes them from the cell sizes
-    in int64 arithmetic.  Once two share a pair, which tied tie-break
-    numbers alone can give, every one of them is keyed as a double ``a / N``
-    and counted by binary search.  These keys compare exactly as the
-    rationals do: integer division is correctly rounded, so equal rationals
-    (``1/2`` and ``2/4``) give the same double, and distinct ones with
-    denominators at most ``2**26`` differ by at least ``2**-52``, more than
-    the spacing of doubles in ``[0, 1]``, so they round to distinct doubles
-    in the same order.  ``histogram_score`` divides the same integers the
-    same way, and ``N <= n``.
+    Those counts are exact: when no two training points share a
+    ``(y, theta)`` pair, ``_size_counts`` takes them from the cell sizes in
+    int64 arithmetic.  Once two share a pair, in the test cell or not, which
+    tied tie-break numbers alone can give, every out-of-cell point is keyed
+    as a double ``a / N`` and counted by binary search.  These keys compare
+    exactly as the rationals do: integer division is correctly rounded, so
+    equal rationals (``1/2`` and ``2/4``) give the same double, and distinct
+    ones with denominators at most ``2**26`` differ by at least ``2**-52``,
+    more than the spacing of doubles in ``[0, 1]``, so they round to
+    distinct doubles in the same order.  ``histogram_score`` divides the
+    same integers the same way, and ``N <= n``.
     """
     n = len(training)
     if n < 1:

@@ -214,6 +214,17 @@ def test_consistency_unknown_function_is_usage_error(capsys):
     assert code == 1
 
 
+def test_consistency_checks_every_size_before_the_first_trial(capsys, monkeypatch):
+    import cpskit.harness as harness
+
+    def refuse(*args):
+        raise AssertionError("a trial stream was derived")
+
+    monkeypatch.setattr(harness, "derive_stream", refuse)
+    code, _ = run(capsys, ["consistency", "--system", "hist-conformal", "--ns", "10000,0"])
+    assert code == 1
+
+
 def test_consistency_missing_oracle_is_usage_error(capsys):
     # p2 has registered integrals for clamp and cos only; cube is unknown
     code, _ = run(capsys, ["consistency", "--system", "dh", "--sampler", "p2",

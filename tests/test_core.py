@@ -158,6 +158,12 @@ def test_integrate_accepts_scalar_only_integrands():
     assert band.integrate(lambda y: 1.0) == band.integrate(np.ones_like)
 
 
+def test_integrate_broadcasts_a_scalar_result():
+    band = dh_band([0.0, 1.0, 2.0, 2.0])
+    for f in (lambda y: 2.5, lambda y: np.float64(2.5), lambda y: np.array(2.5)):
+        assert band.integrate(f, 0.3) == _integrate_by_loop(band, lambda y: 2.5, 0.3)
+
+
 # --- columns --------------------------------------------------------------
 
 
@@ -420,6 +426,26 @@ def test_stream_counts_only_the_draws_it_makes():
     assert st.draws == 0
     st.uniforms(3)
     assert st.draws == 3
+
+
+@pytest.mark.parametrize("k", [0, 1, 10_000])
+def test_stream_skip_lands_where_uniforms_would(k):
+    skipped, drawn = derive_stream(8, [2]), derive_stream(8, [2])
+    skipped.skip(k)
+    drawn.uniforms(k)
+    assert (skipped.uniforms(5) == drawn.uniforms(5)).all()
+    assert skipped.draws == drawn.draws == k + 5
+
+
+def test_stream_rejects_negative_counts():
+    st = derive_stream(7, [0])
+    with pytest.raises(ValueError):
+        st.permutation(-3)
+    with pytest.raises(ValueError):
+        st.skip(-1)
+    assert st.draws == 0
+    st.skip(0)
+    assert st.draws == 0 and st.uniform() == derive_stream(7, [0]).uniform()
 
 
 def test_stream_permutation_is_deterministic():

@@ -159,6 +159,46 @@ def test_harness_rejects_bad_arguments(call, message):
         call()
 
 
+def test_consistency_checks_every_size_before_the_first_trial(monkeypatch):
+    import cpskit.harness as harness
+
+    def refuse(*args):
+        raise AssertionError("a trial stream was derived")
+
+    monkeypatch.setattr(harness, "derive_stream", refuse)
+    with pytest.raises(ValueError, match="sizes must be >= 1"):
+        consistency_curve("hist-conformal", P1, CLAMP, [10000, 0], 20, 1)
+
+
+class _TieBreaksRead(Exception):
+    pass
+
+
+class _Unreadable:
+    """Tie-break numbers that raise when read in any way."""
+
+    def _read(self, *args, **kwargs):
+        raise _TieBreaksRead
+
+    __array__ = __len__ = __iter__ = __getitem__ = _read
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_only_systems_with_tie_breaks_read_them(system):
+    # The harness skips the tie-break numbers of the other systems on the
+    # stream; a system that read them would see other draws than before.
+    spec, cols = SYSTEMS[system], P1.columns(derive_stream(3, [0]), 30)
+    calls = [lambda th: spec.band(cols.head(29), cols.row(29).x, derive_stream(3, [1]), th, 0.5)]
+    if spec.online is not None:
+        calls.append(lambda th: spec.online(cols, th, derive_stream(3, [1])))
+    for call in calls:
+        if spec.tie_breaks:
+            with pytest.raises(_TieBreaksRead):
+                call(_Unreadable())
+        else:
+            call(_Unreadable())
+
+
 # --- online protocol -----------------------------------------------------------
 
 

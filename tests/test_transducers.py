@@ -830,3 +830,39 @@ def test_hcps_band_keys_every_out_of_cell_point_once_a_pair_repeats(monkeypatch)
     (keyed,) = seen
     cells, c_test = transducers._cells(columns, 0.9)
     assert keyed.tolist() == cells[cells != c_test].tolist()
+
+
+def _out_of_cell_counts_by_keys(c, c_test, y, t, m):
+    """Every out-of-cell point keyed by ``_cell_rank_keys`` and counted by
+    binary search, below ``a / m`` and at or below it, ``a = 0..m``."""
+    out = c != c_test
+    keys = _cell_rank_keys(c[out], y[out], t[out])
+    a = np.arange(m + 1) / m
+    return keys.searchsorted(a), keys.searchsorted(a, "right")
+
+
+def test_out_of_cell_counts_match_the_keyed_route():
+    from cpskit.transducers import _out_of_cell_counts
+
+    rng = np.random.default_rng(16)
+    c, y, t = rng.integers(0, 6, 60).astype(float), rng.normal(size=60), rng.random(60)
+    lone = np.arange(10.0, 20.0)  # ten singleton cells, responses of both signs
+    cases = {
+        "empty test cell": (c, 7.0, y, t),
+        "singleton test cell": (np.append(c, 9.0), 9.0, np.append(y, 0.5), np.append(t, 0.5)),
+        "every other cell a singleton": (
+            np.append([3.0] * 5, lone), 3.0, rng.normal(size=15), rng.random(15)
+        ),
+        "signed-zero responses": (
+            np.append(c, lone), 2.0, rng.choice([-0.0, 0.0, -1.0], 70), rng.random(70)
+        ),
+    }
+    # Rows 0 and 1 share the test cell 0 and one (y, t) pair; no other pair repeats.
+    yr, tr, cr = y.copy(), t.copy(), c.copy()
+    cr[:2], yr[1], tr[1] = 0.0, yr[0], tr[0]
+    cases["pair repeated only in the test cell"] = (cr, 0.0, yr, tr)
+    for name, (cells, c_test, ys, ts) in cases.items():
+        for m in (1, 2, 5, 13):
+            got = _out_of_cell_counts(cells, c_test, ys, ts, m)
+            want = _out_of_cell_counts_by_keys(cells, c_test, ys, ts, m)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want], (name, m)
