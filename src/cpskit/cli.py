@@ -68,8 +68,7 @@ def _build_parser() -> _Parser:
     band.add_argument("--system", required=True, choices=tuple(SYSTEMS))
     band.add_argument("--input", required=True, help="training CSV with header x1,...,xd,y")
     band.add_argument("--x", required=True, help="test predictor, comma-separated reals")
-    band.add_argument("--u", type=float, default=None,
-                      help="postulated response (venn only)")
+    band.add_argument("--u", default=None, help="postulated response (venn only)")
     band.add_argument("--seed", type=int, default=None)
     band.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -175,29 +174,35 @@ def _table(body: str, d: int):
     return table if table.shape[1] == d + 1 and np.isfinite(table).all() else None
 
 
+def _reals(flag: str, text: str, count: int) -> list[float]:
+    """The ``count`` comma-separated reals of a command-line value, read by
+    the CSV field rule (``_table`` on one line), else a usage error."""
+    table = None if "\n" in text or "\r" in text else _table(text, count - 1)
+    if table is None:
+        real = "finite plain decimal real"
+        what = f"{count} comma-separated {real}s" if count > 1 else f"one {real}"
+        raise ValueError(f"{flag} must be {what}, got {text!r}")
+    return table[0].tolist()
+
+
 def _cmd_band(args) -> int:
     training = _read_training(args.input)
     d = training.d
-    try:
-        x = tuple(float(v) for v in args.x.split(","))
-    except ValueError:
-        raise ValueError(f"--x must be comma-separated reals, got {args.x!r}") from None
-    if not all(math.isfinite(v) for v in x):
-        raise ValueError(f"--x must be finite, got {args.x!r}")
-    if args.u is not None and not math.isfinite(args.u):
-        raise ValueError(f"--u must be finite, got {args.u!r}")
+    x = tuple(_reals("--x", args.x, args.x.count(",") + 1))
+    u = None if args.u is None else _reals("--u", args.u, 1)[0]
     if len(x) != d:
         raise ValueError(f"--x has dimension {len(x)}, training data has {d}")
     spec = SYSTEMS[args.system]
     if spec.scalar_only and d != 1:
         raise ValueError(f"system {args.system!r} requires scalar predictors")
-    if spec.postulated and args.u is None:
+    if spec.postulated and u is None:
         raise ValueError(f"system {args.system!r} requires --u (postulated response)")
     stream = derive_stream(_seed_of(args), [0])
+    thetas = stream.uniforms(len(training) + 1) if spec.tie_breaks else None
     # The arguments are valid from here on: a failure to build the band
     # comes from the data, such as crossings or cell numbers that overflow.
     try:
-        band = spec.band(training, x, stream, None, args.u)
+        band = spec.band(training, x, stream, thetas, u)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"cannot build the {args.system} band from {args.input}: {exc}") from None
     sys.stdout.write(band.to_json() + "\n" if args.format == "json" else band.to_csv())

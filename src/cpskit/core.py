@@ -41,6 +41,13 @@ def _finite(value, what: str) -> float:
     return v
 
 
+def _check_tau(tau: float) -> float:
+    tau = float(tau)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    return tau
+
+
 @dataclass(frozen=True)
 class Observation:
     """A predictor vector paired with a real response.
@@ -301,8 +308,7 @@ class PredictiveBand:
 
     def evaluate(self, y: float, tau: float) -> float:
         """Value of ``Q_tau`` at ``y``; linear in ``tau`` with slope >= 0."""
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {tau}")
+        tau = _check_tau(tau)
         y = _finite(y, "query response")
         jumps, lower, upper, ajl, aju = self.arrays
         i = bisect.bisect_left(jumps, y)
@@ -330,8 +336,7 @@ class PredictiveBand:
         The terms are summed in jump order, so the result does not depend on
         which of the two ways ``f`` was called.
         """
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {tau}")
+        tau = _check_tau(tau)
         jumps, lower, upper = self.arrays[:3]
         if not len(jumps):
             return 0.0

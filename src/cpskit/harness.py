@@ -179,8 +179,8 @@ class PredictiveSystemSpec:
 
     ``band(training, x, stream, thetas, u)`` builds the band at predictor
     ``x`` from training ``Columns``.  ``thetas`` holds the ``n + 1``
-    tie-break numbers, or None to draw them from ``stream`` when needed;
-    ``stream`` also breaks nearest-neighbour distance ties; ``u`` is the
+    tie-break numbers, which the caller draws when ``tie_breaks`` is set;
+    ``stream`` breaks nearest-neighbour distance ties; ``u`` is the
     postulated response.  The flags:
 
     - ``scalar_only``: predictors must be one-dimensional;
@@ -221,7 +221,7 @@ SYSTEMS: dict[str, PredictiveSystemSpec] = {
             scalar_only=True, uniform_pit=True,
         ),
         PredictiveSystemSpec(
-            "hist-conformal", lambda tr, x, st, th, u: hcps_band(tr, x, th, st),
+            "hist-conformal", lambda tr, x, st, th, u: hcps_band(tr, x, th),
             scalar_only=True, uniform_pit=True, tie_breaks=True,
             online=lambda cols, th, st: hcps_online(cols, th),
         ),

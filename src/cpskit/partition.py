@@ -12,7 +12,7 @@ from .core import Columns
 __all__ = [
     "h_schedule",
     "cell_index",
-    "cell_indices",
+    "cells",
     "scalar_predictor",
     "scalar_column",
     "histogram_taxonomy",
@@ -40,17 +40,19 @@ def cell_index(x: float, h: float) -> int:
     return math.floor(x / h)
 
 
-def cell_indices(xs, h: float) -> np.ndarray:
-    """``cell_index`` of every entry of ``xs``, as integral float64 values.
+def cells(xs, n: int) -> np.ndarray:
+    """``cell_index`` of every entry of ``xs`` at width ``h_schedule(n)``, the
+    partition of ``n`` training observations, as integral float64 values.
 
     Raises ValueError when ``x / h`` overflows, where ``cell_index`` has no
     integer to return.
     """
+    h = h_schedule(n)
     with np.errstate(over="ignore"):
-        cells = np.floor(np.asarray(xs, dtype=np.float64) / h)
-    if not np.isfinite(cells).all():
+        labels = np.floor(np.asarray(xs, dtype=np.float64) / h)
+    if not np.isfinite(labels).all():
         raise ValueError(f"predictor too large for cells of width {h!r}")
-    return cells
+    return labels
 
 
 def _not_scalar(d: int) -> ValueError:
@@ -82,8 +84,8 @@ def scalar_predictor(item) -> float:
 def histogram_taxonomy(xs: Sequence | Columns) -> list[int] | np.ndarray:
     """Cell labels for a sequence of ``n + 1`` scalar predictors.
 
-    Items may be bare scalars or observations; ``Columns`` are labelled in
-    one ``cell_indices`` call, as an array of integral floats.  The
+    Items may be bare scalars or observations; ``Columns`` are labelled by
+    ``cells``, as the histogram builders label them, in integral floats.  The
     partition width is ``h_schedule(len(xs) - 1)``; equal label means same
     cell.  Labels depend only on predictors, never on responses, and
     permuting ``xs`` permutes the labels identically.
@@ -91,7 +93,7 @@ def histogram_taxonomy(xs: Sequence | Columns) -> list[int] | np.ndarray:
     n = len(xs) - 1
     if n < 1:
         raise ValueError("taxonomy needs at least 2 items (n >= 1)")
-    h = h_schedule(n)
     if isinstance(xs, Columns):
-        return cell_indices(scalar_column(xs), h)
+        return cells(scalar_column(xs), n)
+    h = h_schedule(n)
     return [cell_index(scalar_predictor(x), h) for x in xs]

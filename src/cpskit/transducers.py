@@ -31,11 +31,12 @@ from .core import (
     Observation,
     PredictiveBand,
     RandomStream,
+    _check_tau,
     _finite,
     as_columns,
 )
 from .conformity import _pick_at, _pick_response
-from .partition import cell_indices, h_schedule, scalar_column, scalar_predictor
+from .partition import cells, h_schedule, scalar_column, scalar_predictor
 
 __all__ = [
     "conformal_pvalue",
@@ -50,13 +51,6 @@ __all__ = [
     "pfs_distribution",
     "venn_distribution",
 ]
-
-
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return tau
 
 
 def _extend(training, candidate, thetas):
@@ -129,6 +123,15 @@ def mondrian_pvalue(
     return conformal_pvalue(measure, training, candidate, tau, thetas, rng, taxonomy)
 
 
+def _runs(*columns: np.ndarray) -> np.ndarray:
+    """Starts of the runs of equal rows of the sorted ``columns``, then their length."""
+    starts = np.ones(len(columns[0]) + 1, dtype=bool)
+    np.not_equal(columns[0][1:], columns[0][:-1], out=starts[1:-1])
+    for col in columns[1:]:
+        starts[1:-1] |= col[1:] != col[:-1]
+    return np.flatnonzero(starts)
+
+
 def _group(values) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values in increasing order, and the counts below them.
 
@@ -139,9 +142,7 @@ def _group(values) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.asarray(values, dtype=np.float64)
     v = np.sort(values)
-    first = np.ones(len(v) + 1, dtype=bool)
-    np.not_equal(v[1:], v[:-1], out=first[1:-1])
-    below = np.flatnonzero(first)
+    below = _runs(v)
     jumps = v[below[:-1]]
     # The sort may put -0.0 and 0.0 in either order.
     z = jumps.searchsorted(0.0)
@@ -175,16 +176,15 @@ def _ecdf_band(values) -> PredictiveBand:
 
 def _cells(training: Columns, x) -> tuple[np.ndarray, float]:
     """Cell of every training predictor and of ``x``, at width ``h_schedule(n)``."""
-    h = h_schedule(len(training))
     x = _finite(scalar_predictor(x), "predictor component")
-    cells = cell_indices(np.append(scalar_column(training), x), h)
-    return cells[:-1], cells[-1]
+    labels = cells(np.append(scalar_column(training), x), len(training))
+    return labels[:-1], labels[-1]
 
 
 def _in_cell_responses(training, x) -> np.ndarray:
     cols = as_columns(training)
-    cells, c_test = _cells(cols, x)
-    return cols.ys[cells == c_test]
+    c, c_test = _cells(cols, x)
+    return cols.ys[c == c_test]
 
 
 def dh_band(responses) -> PredictiveBand:
@@ -211,15 +211,15 @@ def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("responses must be finite")
     k = len(ys)
     order = ys.argsort()
-    tied = ys[order[1:]] == ys[order[:-1]]
-    if tied.any():  # the default sort leaves equal values in any order
+    runs = _runs(ys[order])
+    tied = len(runs) <= k
+    if tied:  # the default sort leaves equal values in any order
         order = ys.argsort(kind="stable")
     at_or_below = _earlier_smaller(order)
     less, upto = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
     upto[order] = at_or_below + 1
-    if tied.any():
-        at = np.arange(k)
-        at_or_below -= at - np.maximum.accumulate(np.where(np.append(True, ~tied), at, 0))
+    if tied:
+        at_or_below -= np.arange(k) - np.repeat(runs[:-1], np.diff(runs))
     less[order] = at_or_below
     return less[1:], upto[1:]
 
@@ -584,16 +584,12 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     order = np.lexsort((t, y, c))
     c, y, t = c[order], y[order], t[order]
-    # Starts of cells and of equal (cell, y, t) triples, and an end mark; a
-    # running count of starts numbers each point's cell and triple.
-    new_cell = np.ones(len(c) + 1, dtype=bool)
-    np.not_equal(c[1:], c[:-1], out=new_cell[1:-1])
-    new_triple = new_cell.copy()
-    new_triple[1:-1] |= (y[1:] != y[:-1]) | (t[1:] != t[:-1])
-    cell_bounds, cell_of = np.flatnonzero(new_cell), new_cell[:-1].cumsum()
-    start = cell_bounds[cell_of - 1]
-    rank = np.flatnonzero(new_triple)[new_triple[:-1].cumsum()] - start - 1
-    mates = cell_bounds[cell_of] - start - 1
+    # Each point's cell start and size, and the end of its (cell, y, t) run.
+    cell_bounds, triple_bounds = _runs(c), _runs(c, y, t)
+    sizes = np.diff(cell_bounds)
+    start = np.repeat(cell_bounds[:-1], sizes)
+    rank = np.repeat(triple_bounds[1:], np.diff(triple_bounds)) - start - 1
+    mates = np.repeat(sizes - 1, sizes)
     return np.sort(np.where(mates > 0, rank, y >= 0) / np.maximum(mates, 1))
 
 
@@ -611,10 +607,10 @@ def _size_counts(a, m: int, zeros: int, ones: int, sizes: dict[int, int]):
     included).
     """
     below, upto = zeros * (a > 0), zeros + ones * (a == m)
-    for size, cells in sizes.items():
+    for size, count in sizes.items():
         q = a * (size - 1)
-        below += cells * -(-q // m)
-        upto += cells * (q // m + 1)
+        below += count * -(-q // m)
+        upto += count * (q // m + 1)
     return below, upto
 
 
@@ -636,13 +632,11 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
         keys = _cell_rank_keys(c[out], y[out], t[out])
         return keys.searchsorted(a / m), keys.searchsorted(a / m, "right")
     cs = np.sort(c)
-    bounds = np.ones(len(c) + 1, dtype=bool)
-    np.not_equal(cs[1:], cs[:-1], out=bounds[1:-1])
-    bounds = np.flatnonzero(bounds)
-    cells, sizes = cs[bounds[:-1]], np.diff(bounds)
-    sizes[cells == c_test] = 0
+    bounds = _runs(cs)
+    labels, sizes = cs[bounds[:-1]], np.diff(bounds)
+    sizes[labels == c_test] = 0
     cells_of_size = np.bincount(sizes, minlength=2)
-    lone = cells[sizes == 1]
+    lone = labels[sizes == 1]
     ones = np.count_nonzero(y[np.isin(c, lone)] >= 0) if len(lone) else 0
     s = np.flatnonzero(cells_of_size[2:]) + 2
     counts = dict(zip(s.tolist(), cells_of_size[s].tolist()))
@@ -650,18 +644,16 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
 
 
 def hcps_band(
-    training: Sequence[Observation] | Columns,
-    x,
-    thetas: Sequence[float] | None = None,
-    stream: RandomStream | None = None,
+    training: Sequence[Observation] | Columns, x, thetas: Sequence[float]
 ) -> PredictiveBand:
     """Band of the rank p-value driven by the in-cell rank score at ``x``.
 
-    Tie-break numbers ``thetas`` (length ``n + 1``; drawn from ``stream`` when
-    omitted) make scores almost surely distinct.  The band's jumps are the
-    distinct in-cell responses of the cell of ``x`` (0 alone when the cell
-    is empty); between consecutive in-cell responses every score is
-    constant, so the construction is exact.  Agrees with
+    The caller's ``n + 1`` tie-break numbers ``thetas``, the training
+    points' and then the candidate's (``stream.uniforms(n + 1)`` in the
+    harness and the CLI), make scores almost surely distinct.  The band's
+    jumps are the distinct in-cell responses of the cell of ``x`` (0 alone
+    when the cell is empty); between consecutive in-cell responses every
+    score is constant, so the construction is exact.  Agrees with
     ``conformal_pvalue(histogram_score, ...)`` at every ``(y, tau)``.
 
     One sorted sweep builds it.  Let ``m`` training points share the test
@@ -692,14 +684,10 @@ def hcps_band(
     n = len(training)
     if n < 1:
         raise ValueError("hcps_band requires at least one training observation")
-    if thetas is None:
-        if stream is None:
-            raise ValueError("hcps_band needs tie-break numbers or a stream")
-        thetas = stream.uniforms(n + 1)
     thetas = _tie_breaks(thetas, n + 1)
     cols = as_columns(training)
-    cells, c_test = _cells(cols, x)
-    in_test = cells == c_test
+    c, c_test = _cells(cols, x)
+    in_test = c == c_test
     theta_cand = thetas[n]
     yc, tc = cols.ys[in_test], thetas[:n][in_test]
     m = len(yc)
@@ -717,7 +705,7 @@ def hcps_band(
     else:
         # Empty test cell: the candidate scores by the sign rule alone.
         jumps, less, tied, a = np.zeros(1), np.zeros(3, dtype=np.int64), 0, np.array([0, 1, 1])
-    out_below, out_upto = _out_of_cell_counts(cells, c_test, cols.ys, thetas[:n], max(m, 1))
+    out_below, out_upto = _out_of_cell_counts(c, c_test, cols.ys, thetas[:n], max(m, 1))
     den = n + 1
     lo, hi = (less + out_below[a]) / den, (less + tied + 1 + out_upto[a]) / den
     j = len(jumps) + 1
@@ -727,13 +715,14 @@ def hcps_band(
 def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Online counts of ``hcps_band``, from per-cell sorted ``(y, theta)`` lists.
 
-    The cells are rebuilt whenever ``h_schedule`` halves (at ``n = 8**k``).
-    Of the ``m`` pairs in the test cell, ``lo`` lie below the candidate's
-    and ``hi`` at or below it; its key is ``a / m = hi / m``, or ``a / 1`` by
-    the sign rule in an empty cell.  The step's counts are ``lo`` and
-    ``hi + 1`` plus the keys below, and at or below, ``a / m`` of the other
-    cells: ``_size_counts`` takes them from the cell sizes when no two rows
-    share a pair, and ``_out_of_cell_counts`` otherwise, O(n log n) a step.
+    When ``h_schedule(n)`` changes, ``cells`` labels every row at the new
+    width and the lists are rebuilt.  Of the ``m`` pairs in the test cell,
+    ``lo`` lie below the candidate's and ``hi`` at or below it; its key is
+    ``a / m = hi / m``, or ``a / 1`` by the sign rule in an empty cell.  The
+    step's counts are ``lo`` and ``hi + 1`` plus the keys below, and at or
+    below, ``a / m`` of the other cells: ``_size_counts`` takes them from
+    the cell sizes when no two rows share a pair, and
+    ``_out_of_cell_counts`` otherwise, O(n log n) a step.
     """
     k = len(training)
     thetas = _tie_breaks(thetas, k)
@@ -754,28 +743,26 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
 
     for n in range(1, k):
         if h_schedule(n) != h:
-            h = h_schedule(n)
-            # Cells of every row that steps n to 8n - 1 read.
-            col = cell_indices(x_col[: 8 * n], h)
-            cells = col.tolist()
+            h, col = h_schedule(n), cells(x_col, n)
+            labels = col.tolist()
             pairs, sizes, singles = {}, {}, [0, 0]
             for i in range(n):
-                pairs.setdefault(cells[i], []).append((ys[i], ts[i]))
+                pairs.setdefault(labels[i], []).append((ys[i], ts[i]))
             for lst in pairs.values():
                 lst.sort()
                 tally(lst, 1)
         else:
-            lst = pairs.setdefault(cells[n - 1], [])
+            lst = pairs.setdefault(labels[n - 1], [])
             bisect.insort(lst, (ys[n - 1], ts[n - 1]))
             tally(lst, 1)
         # The test cell is counted in-cell, so it stays tallied out until row n joins it.
-        lst = pairs.get(cells[n], [])
+        lst = pairs.get(labels[n], [])
         tally(lst, -1)
         hi = bisect.bisect(lst, (ys[n], ts[n]))
         lo = bisect.bisect_left(lst, (ys[n], ts[n])) if repeats else hi
         a, m = (hi, len(lst)) if lst else (int(ys[n] >= 0), 1)
         if repeats:
-            counts = _out_of_cell_counts(col[:n], cells[n], training.ys[:n], thetas[:n], m)
+            counts = _out_of_cell_counts(col[:n], labels[n], training.ys[:n], thetas[:n], m)
             below, at_or_below = counts[0][a], counts[1][a]
         else:
             below, at_or_below = _size_counts(a, m, singles[0], singles[1], sizes)

@@ -316,6 +316,29 @@ def test_band_rejects_non_utf8_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--x", "1_0"), ("--x", "\u0660.\u0665"), ("--x", "inf"), ("--x", "0.5\n"),
+    ("--u", "1_0"), ("--u", "\u0661"), ("--u", "inf"), ("--u", "1,2"),
+])
+def test_band_flags_read_reals_by_the_csv_field_rule(capsys, dh_csv, flag, value):
+    # float() reads 1_0 as 10.0 and Arabic-Indic digits as ASCII ones; in a
+    # data field either is a data error, so in a flag it is a usage error
+    argv = ["band", "--system", "venn", "--input", dh_csv, "--x", "0.5", "--u", "2.0"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"cpskit: error: {flag} must be")
+
+
+def test_band_flags_accept_spaces_around_a_real_as_the_csv_does(capsys, dh_csv, tmp_path):
+    argv = ["band", "--system", "venn", "--x", "0.5", "--u", "2.0", "--input"]
+    _, plain = run(capsys, argv + [dh_csv])
+    code, spaced_field = run(capsys, argv + [_csv(tmp_path, "x1,y\n 0.0,1.0\n1.0, 3.0\n")])
+    assert code == 0 and spaced_field == plain
+    argv = ["band", "--system", "venn", "--input", dh_csv, "--x", " 0.5", "--u", " 2.0"]
+    code, spaced_flags = run(capsys, argv)
+    assert code == 0 and spaced_flags == plain
+
+
 # --- exit-code fuzz: derandomized, so the examples are the same on every run --
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)

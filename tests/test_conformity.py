@@ -173,6 +173,37 @@ def test_monotonicity_negative_control():
     assert not check_monotonic(negated, data, obs(0.0, 0.0), [-1.0, 0.0, 1.0])
 
 
+def test_monotonicity_fails_on_the_comparison_response_sweep():
+    # constant in the candidate's response, rising in the first comparison one
+    first_response = lambda data, candidate: data[0].y
+    data = [obs(0.0, 0.0), obs(1.0, 2.0)]
+    assert not check_monotonic(first_response, data, obs(0.5, 0.0), [-1.0, 0.0, 1.0])
+
+
+class _Opaque:
+    """A measure whose signature ``inspect`` cannot read; it takes no ``rng``."""
+
+    __signature__ = "not a signature"
+
+    def __call__(self, data, candidate):
+        return float(candidate.y)
+
+
+def test_a_measure_without_a_readable_signature_gets_no_stream():
+    from cpskit.conformity import _accepts_rng
+
+    assert _accepts_rng(_Opaque()) is False and _accepts_rng(max) is False
+    data = [obs(0.0, 0.0), obs(1.0, 2.0)]
+    st = derive_stream(6, [0])
+    assert check_monotonic(_Opaque(), data, obs(0.5, 0.0), [-1.0, 1.0], stream=st)
+    assert check_permutation_invariance(_Opaque(), data, obs(0.5, 0.0), 3, st)
+
+
+def test_histogram_score_needs_a_partition_size():
+    with pytest.raises(ValueError, match="n_for_partition must be >= 1"):
+        histogram_score([ext(0.0, 0.0, 0.5)], ext(0.0, 1.0, 0.5), n_for_partition=0)
+
+
 def test_checker_preconditions():
     data = [obs(0.0, 0.0)]
     with pytest.raises(ValueError):

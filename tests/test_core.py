@@ -46,6 +46,19 @@ def test_extended_observation_theta_range():
         ExtendedObservation(o, 1.5)
     with pytest.raises(ValueError):
         ExtendedObservation(o, -0.1)
+    with pytest.raises(TypeError, match="obs must be an Observation"):
+        ExtendedObservation((0.0, 1.0), 0.25)
+
+
+def test_band_and_stream_reprs():
+    band = dh_band([1.0])
+    assert repr(band) == (
+        "PredictiveBand(jumps=(1.0,), lower=(0.0, 0.5), upper=(0.5, 1.0), "
+        "at_jump_lower=(0.0,), at_jump_upper=(1.0,))"
+    )
+    st = derive_stream(7, [0, 2])
+    st.uniforms(3)
+    assert repr(st) == "RandomStream(seed=7, path=(0, 2), draws=3)"
 
 
 # --- evaluate -------------------------------------------------------------

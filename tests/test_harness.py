@@ -411,6 +411,23 @@ def test_consistency_requires_oracle():
         consistency_curve("dh", SAMPLERS["p2"], cube, [10], 5, 1)
 
 
+def test_consistency_without_an_oracle_fails_before_any_stream(monkeypatch):
+    import cpskit.harness as harness
+
+    class NoOracle(Sampler):
+        name = "no-oracle"
+
+        def _make_columns(self, u1, u2):
+            return Columns(u1, u2)
+
+    def refuse(*args):
+        raise AssertionError("a trial stream was derived")
+
+    monkeypatch.setattr(harness, "derive_stream", refuse)
+    with pytest.raises(ValueError, match="no conditional oracle"):
+        consistency_curve("dh", NoOracle(), TEST_FUNCTIONS["clamp"], [10], 5, 1)
+
+
 def test_consistency_dh_small_when_response_independent_of_predictor():
     clamp = TEST_FUNCTIONS["clamp"]
     rows = consistency_curve("dh", SAMPLERS["p2"], clamp, [10_000], 50, 45)

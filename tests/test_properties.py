@@ -13,6 +13,7 @@ recount.  Runs are derandomized, so the examples are the same on every run.
 import bisect
 import json
 import math
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -40,6 +41,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
+import cpskit.partition as partition
 import cpskit.transducers as transducers
 from cpskit.conformity import _sq_dist
 from cpskit.harness import rows_to_csv
@@ -372,3 +374,114 @@ def test_nn_online_counts_in_small_blocks_are_the_band_at_every_step(problem, bo
     # Blocks of one or a few steps put block edges among the ties and draws.
     with mock.patch.object(transducers, "_NN_BLOCK_DISTANCES", bound):
         test_online_counts_are_the_band_at_every_step.hypothesis.inner_test(problem)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(online_problems(max_k=40, systems=("hist-conformal",)),
+       st.sampled_from(["fixed 1/4", "one point a cell"]))
+def test_hcps_online_relabels_at_every_width_change(problem, rule):
+    # Width rules that change other than at n = 8**k, as a cell-width
+    # parameter would allow: each change relabels every row.
+    width = {"fixed 1/4": lambda n: 0.25,
+             "one point a cell": lambda n: 2.0 ** -(int(n).bit_length() - 1)}[rule]
+    with mock.patch.object(partition, "h_schedule", width), \
+            mock.patch.object(transducers, "h_schedule", width):
+        test_online_counts_are_the_band_at_every_step.hypothesis.inner_test(problem)
+
+
+# --- validity as an exact identity over every bag -----------------------------
+#
+# Fix a bag of n + 1 rows (x, y, theta).  Leaving out row i and building the
+# band from the other n at x_i, its value at y_i runs over [less_i, upto_i]
+# / (n + 1) as tau runs over [0, 1].  The system is valid under every
+# exchangeable law exactly when, for every bag, these n + 1 intervals, each
+# carrying density 1 / (upto_i - less_i), sum to density 1 on every unit of
+# (0, n + 1).  A Mondrian system satisfies the same within each cell, with
+# the cell's size in place of n + 1.  No seed and no tolerance.
+
+
+def leave_one_out(system, xs, ys, thetas):
+    """(less_i, upto_i, denominator) of every row of the bag, read from the
+    registry band of the other rows at x_i as exact integers; the
+    denominator is n + 1, or for hist-mondrian the size of i's cell."""
+    spec, k = SYSTEMS[system], len(ys)
+    labels = histogram_taxonomy(Columns(xs, ys))
+    out = []
+    for i in range(k):
+        rest = np.arange(k) != i
+        stream = derive_stream(0, [i])
+        th = np.append(thetas[rest], thetas[i]) if spec.tie_breaks else None
+        band = spec.band(Columns(xs[rest], ys[rest]), (xs[i],), stream, th, None)
+        assert stream.draws == 0  # no distance tie drew
+        den = int((labels == labels[i]).sum()) if system == "hist-mondrian" else k
+        counts = []
+        for tau in (0.0, 1.0):
+            value = band.evaluate(ys[i], tau)
+            counts.append(round(value * den))
+            assert counts[-1] / den == value
+        out.append((*counts, den))
+    return out
+
+
+def is_uniform(rows):
+    """Whether the intervals [less, upto] / den of ``rows``, each carrying
+    probability 1 / len(rows) spread evenly over it, give density 1 on all
+    of (0, 1).  With one ``den = len(rows)`` this is the integer form."""
+    intervals = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in rows]
+    assert all(0 <= lo < hi <= 1 for lo, hi in intervals)
+    cuts = sorted({0, 1, *(e for iv in intervals for e in iv)})
+    return all(
+        sum(1 / (hi - lo) for lo, hi in intervals if lo <= a and b <= hi) == len(rows)
+        for a, b in zip(cuts, cuts[1:])
+    )
+
+
+def per_cell(xs, ys, rows):
+    labels = histogram_taxonomy(Columns(xs, ys))
+    return [[r for r, lab in zip(rows, labels) if lab == c] for c in set(labels.tolist())]
+
+
+@st.composite
+def bags(draw, max_k=41):
+    """(xs, ys, thetas) of 2 to ``max_k`` rows from the tie-heavy pools."""
+    k = draw(st.integers(2, max_k))
+    xs = draw(st.lists(predictors, min_size=k, max_size=k))
+    ys = draw(st.lists(responses, min_size=k, max_size=k))
+    return np.array(xs), np.array(ys), np.array(draw(st.lists(thetas, min_size=k, max_size=k)))
+
+
+@st.composite
+def nn_bags(draw, max_k=24):
+    """Bags without distance ties: predictors at distinct powers of 2, whose
+    differences are all distinct; responses on a grid of halves, so that
+    every crossing is exact."""
+    k = draw(st.integers(2, max_k))
+    xs = [2.0 ** e for e in draw(st.permutations(range(-8, max_k - 8)))[:k]]
+    ys = draw(st.lists(st.integers(-8, 8).map(lambda v: v / 2.0), min_size=k, max_size=k))
+    return np.array(xs), np.array(ys), np.zeros(k)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(st.data())
+@pytest.mark.parametrize("system", ["dh", "hist-mondrian", "hist-conformal", "nn"])
+def test_every_bag_is_tiled_exactly(system, data):
+    xs, ys, theta = data.draw(nn_bags() if system == "nn" else bags())
+    rows = leave_one_out(system, xs, ys, theta)
+    assert is_uniform(rows)
+    if system == "hist-mondrian":
+        assert all(is_uniform(cell) for cell in per_cell(xs, ys, rows))
+
+
+def test_hist_conformal_is_not_valid_within_a_cell():
+    # Three rows, cells of width h_schedule(2) = 1: rows 0 and 1 share a cell.
+    # The bag is tiled, by [0, 1], [1, 3] and [1, 3] over 3, but within the
+    # cell [0, 1] / 3 and [1, 3] / 3 put density 3/2 on (0, 1/3), where
+    # hist-mondrian's values cover the cell evenly.
+    xs, ys = np.array([1.6, 1.6, 0.2]), np.array([-1.0, 0.0, 2.0])
+    theta = np.array([0.5, 0.75, 0.25])
+    rows = leave_one_out("hist-conformal", xs, ys, theta)
+    assert [r[:2] for r in rows] == [(0, 1), (1, 3), (1, 3)]
+    assert is_uniform(rows)
+    assert not all(is_uniform(cell) for cell in per_cell(xs, ys, rows))
+    mondrian = leave_one_out("hist-mondrian", xs, ys, theta)
+    assert all(is_uniform(cell) for cell in per_cell(xs, ys, mondrian))

@@ -6,7 +6,9 @@ would break the traced benchmark without failing any other test.  The
 converse holds too: a name that a cpskit module imports and never reads
 (or exports in ``__all__``) is there only for the tracer, and only
 ``cpskit/harness.py`` and ``cpskit/cli.py`` hold such names.  Apart from the
-tracer, the package must import nothing but numpy and the standard library.
+tracer, the package must import nothing but numpy and the standard library,
+and every function it defines must be named somewhere outside its own
+definition, so that a helper nothing calls any more fails here.
 """
 
 import ast
@@ -118,3 +120,33 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
             outside |= {f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}}
     assert outside == set()
+
+
+def _named_outside_definitions(root):
+    """Functions and methods defined in ``src/cpskit`` (dunders exempt) that
+    no name, attribute or tracer site string outside their own definition
+    names, anywhere in ``src/``, ``tests/`` or ``perfbench/``."""
+    defs, uses, tracing = [], [], root / "perfbench" / "tracing.py"
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py"),
+                        *(root / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and path == tracing):
+                uses.append((node.value, path, node.lineno))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and path.parent.name == "cpskit" and not node.name.startswith("__")):
+                defs.append((node.name, path, node.lineno, node.end_lineno))
+    used = {}
+    for name, path, line in uses:
+        used.setdefault(name, []).append((path, line))
+    return [f"{path.name}:{start} {name}" for name, path, start, end in defs
+            if all(p == path and start <= line <= end for p, line in used.get(name, []))]
+
+
+def test_every_function_is_named_outside_its_own_definition():
+    # A helper that nothing names any more is dead code; keep the tree free of it.
+    assert _named_outside_definitions(TRACING.parents[1]) == []

@@ -395,11 +395,19 @@ def test_hcps_band_keys_with_different_denominators_tie():
             assert band.evaluate(y, tau) == direct
 
 
-def test_hcps_band_needs_randomness_source():
-    with pytest.raises(ValueError):
-        hcps_band([obs(0.0, 1.0)], 0.5)
-    band = hcps_band([obs(0.0, 1.0)], 0.5, stream=derive_stream(1, [0]))
-    band.validate()
+def test_hcps_band_needs_randomness_source(tmp_path, capsys):
+    from cpskit.cli import main
+
+    training = [obs(0.0, 1.0), obs(0.25, 3.0), obs(0.75, 2.0)]
+    with pytest.raises(TypeError):
+        hcps_band(training, 0.5)  # the caller supplies the tie-break numbers
+    # The CLI draws the n + 1 numbers first from its band stream, path [0].
+    path = tmp_path / "train.csv"
+    path.write_text("x1,y\n0.0,1.0\n0.25,3.0\n0.75,2.0\n", encoding="utf-8")
+    argv = ["band", "--system", "hist-conformal", "--input", str(path), "--x", "0.5"]
+    assert main(argv + ["--seed", "1"]) == 0
+    band = hcps_band(training, 0.5, derive_stream(1, [0]).uniforms(4))
+    assert capsys.readouterr().out == band.to_json() + "\n"
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -0.5, 1.5])
