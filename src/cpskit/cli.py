@@ -100,7 +100,10 @@ def _seed_of(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("CPSKIT_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"CPSKIT_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_tau(text: str) -> float | None:

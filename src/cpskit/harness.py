@@ -247,6 +247,14 @@ def _system(system_id: str) -> PredictiveSystemSpec:
         ) from None
 
 
+def _size(value, name: str) -> int:
+    """``value`` as an int, if it is an integer (a numpy one too, not a
+    bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and integral, got {value!r}")
+    return int(value)
+
+
 def _trial(spec, sampler, n, stream, tau):
     """``n + 1`` rows, their tie-break numbers, then tau (unless fixed), all
     from ``stream``; returns the band at the last row's predictor, built
@@ -279,10 +287,7 @@ def pit_sample(
     Under the sampler's IID law the returned values are exactly uniform on
     [0, 1].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, trials = _size(n, "n"), _size(trials, "trials")
     spec = _system(system)
     if not spec.uniform_pit:
         raise ValueError(f"system {system!r} does not define a randomized p-value")
@@ -297,15 +302,11 @@ def ks_uniform(values: Sequence[float]) -> float:
     """Kolmogorov-Smirnov distance of ``values`` from the uniform law on [0, 1]."""
     if len(values) == 0:
         raise ValueError("ks_uniform needs at least one value")
-    vs = sorted(float(v) for v in values)
-    # Read every value: a NaN leaves the sorted list unordered.
-    if not all(0.0 <= v <= 1.0 for v in vs):
+    vs = np.sort(np.asarray(values, dtype=np.float64))
+    if not (vs[0] >= 0.0 and vs[-1] <= 1.0):  # the sort puts a NaN last
         raise ValueError("values must lie in [0, 1]")
-    m = len(vs)
-    d = 0.0
-    for i, v in enumerate(vs):
-        d = max(d, v - i / m, (i + 1) / m - v)
-    return d
+    i, m = np.arange(len(vs)), len(vs)
+    return float(max((vs - i / m).max(), ((i + 1) / m - vs).max()))
 
 
 def online_coverage(
@@ -325,8 +326,7 @@ def online_coverage(
     with the band's own arithmetic, so it equals the registry band's to the
     last bit, and no step builds a band.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _size(steps, "steps")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     spec = _system(system)
@@ -366,15 +366,13 @@ def consistency_curve(
     the median over trials of ``|integral - oracle|``.  Requires a sampler
     with a conditional oracle for ``f``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _size(trials, "trials")
     spec = _system(system)
     if spec.postulated:
         raise ValueError(f"system {system!r} needs a postulated response")
     # Fail fast on a missing oracle before burning trials.
     sampler.conditional_mean(f, 0.5)
-    if not all(n >= 1 for n in ns):
-        raise ValueError("all training sizes must be >= 1")
+    ns = [_size(n, "training sizes") for n in ns]
     rows: list[tuple[int, float]] = []
     for j, n in enumerate(ns):
         gaps = []
@@ -383,7 +381,7 @@ def consistency_curve(
             value = band.integrate(f.fn, tau_t)
             target = sampler.conditional_mean(f, scalar_predictor(test))
             gaps.append(abs(value - target))
-        rows.append((int(n), statistics.median(gaps)))
+        rows.append((n, statistics.median(gaps)))
     return rows
 
 
@@ -483,10 +481,7 @@ def venn_calibration(
     its ``n + 1`` rows as ``Columns``, so ``taxonomy`` labels ``Columns``, as
     ``histogram_taxonomy`` does (see ``venn_distribution``).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, trials = _size(n, "n"), _size(trials, "trials")
     grid = [float(y) for y in y_grid]
     mean_q = [0.0] * len(grid)
     emp = [0] * len(grid)

@@ -71,8 +71,6 @@ def scalar_column(columns) -> np.ndarray:
 
 def scalar_predictor(item) -> float:
     """Extract a scalar predictor from a number, 1-vector, or observation."""
-    if isinstance(item, (int, float)):
-        return float(item)
     x = getattr(item, "x", item)
     if isinstance(x, (int, float)):
         return float(x)

@@ -167,8 +167,6 @@ def _rank_band(points) -> PredictiveBand:
 
 def _ecdf_band(values) -> PredictiveBand:
     """Right-continuous empirical distribution function as a degenerate band."""
-    if len(values) == 0:
-        raise ValueError("empirical distribution needs at least one value")
     jumps, below = _group(values)
     plats = below / int(below[-1])
     return PredictiveBand._adopt(jumps, plats, plats, plats[1:], plats[1:])
@@ -187,6 +185,14 @@ def _in_cell_responses(training, x) -> np.ndarray:
     return cols.ys[c == c_test]
 
 
+def _response_column(responses) -> np.ndarray:
+    """``responses`` as a float64 array, which must be one-dimensional."""
+    ys = np.asarray(responses, dtype=np.float64)
+    if ys.ndim != 1:
+        raise ValueError(f"responses must be one-dimensional, got shape {ys.shape}")
+    return ys
+
+
 def dh_band(responses) -> PredictiveBand:
     """Predictive band built from response ranks alone, ignoring predictors.
 
@@ -195,9 +201,10 @@ def dh_band(responses) -> PredictiveBand:
     responses merge jumps with their multiplicities.  Agrees with
     ``conformal_pvalue(trivial_score, ...)`` at every ``(y, tau)``.
     """
-    if len(responses) < 1:
+    ys = _response_column(responses)
+    if not len(ys):
         raise ValueError("dh_band requires at least one response")
-    return _rank_band(responses)
+    return _rank_band(ys)
 
 
 def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +213,7 @@ def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
     for ``k < 2**31`` finite responses.  Those at or below it come before it
     in the sort by (value, index), and ``_earlier_smaller`` counts them;
     those below it are fewer by its offset in its run of equal values."""
-    ys = np.asarray(responses, dtype=np.float64)
+    ys = _response_column(responses)
     if not np.isfinite(ys).all():
         raise ValueError("responses must be finite")
     k = len(ys)
@@ -380,7 +387,7 @@ def nn_online(training: Columns, stream: RandomStream) -> tuple[np.ndarray, np.n
     responses = ys.tolist()
     near, first = np.full(k, np.inf), np.arange(k)
     tied: dict[int, list[float]] = {}
-    less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
+    less, upto = np.empty(max(k - 1, 0), dtype=np.int64), np.empty(max(k - 1, 0), dtype=np.int64)
     s = 1
     # Distances may overflow to inf as in ``nn_band``; only the crossings in
     # use must be finite.
@@ -558,8 +565,7 @@ def _repeats_a_pair(y: np.ndarray, t: np.ndarray) -> bool:
     pick = np.isin(t, repeated)
     py, pt = y[pick], t[pick]
     order = np.lexsort((py, pt))
-    py, pt = py[order], pt[order]
-    return bool(((py[1:] == py[:-1]) & (pt[1:] == pt[:-1])).any())
+    return len(_runs(pt[order], py[order])) <= len(order)
 
 
 def _tie_breaks(thetas, count: int) -> np.ndarray:
@@ -567,20 +573,20 @@ def _tie_breaks(thetas, count: int) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape != (count,):
         raise ValueError(f"need {count} tie-break numbers, got an array of shape {thetas.shape}")
-    if not (thetas.min() >= 0.0 and thetas.max() <= 1.0):  # NaN fails both
+    # NaN fails both tests; with no numbers the initial values pass them.
+    if not (thetas.min(initial=0.0) >= 0.0 and thetas.max(initial=1.0) <= 1.0):
         raise ValueError("tie-break numbers must lie in [0, 1]")
     return thetas
 
 
-def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sorted ``histogram_score`` keys of points with cells ``c``, responses
-    ``y`` and tie-break numbers ``t``, each scored within its own cell.
+def _cell_ranks(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``histogram_score`` keys ``r / N`` of points with cells ``c``,
+    responses ``y`` and tie-break numbers ``t``, each scored within its own
+    cell, as two int64 arrays ``r`` and ``N`` in no particular order.
 
-    ``_out_of_cell_counts`` keys the out-of-cell points this way once two
-    of its points share a ``(y, t)`` pair; otherwise it counts cell sizes.
-    A point's key is its rank ``a`` (cell mates, itself included, whose
-    ``(y, t)`` pair is <= its own, less one) over ``N = cell size - 1``, or
-    the sign rule when ``N = 0``, divided as ``histogram_score`` divides.
+    A point's ``r`` is its rank (cell mates, itself included, whose
+    ``(y, t)`` pair is <= its own, less one) and ``N`` the cell size less
+    one; a singleton has the sign rule, ``(y >= 0) / 1``.
     """
     order = np.lexsort((t, y, c))
     c, y, t = c[order], y[order], t[order]
@@ -590,7 +596,7 @@ def _cell_rank_keys(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     start = np.repeat(cell_bounds[:-1], sizes)
     rank = np.repeat(triple_bounds[1:], np.diff(triple_bounds)) - start - 1
     mates = np.repeat(sizes - 1, sizes)
-    return np.sort(np.where(mates > 0, rank, y >= 0) / np.maximum(mates, 1))
+    return np.where(mates > 0, rank, y >= 0), np.maximum(mates, 1)
 
 
 def _size_counts(a, m: int, zeros: int, ones: int, sizes: dict[int, int]):
@@ -623,14 +629,17 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
     The route is picked on the whole input, test cell included.  When no two
     points share a ``(y, t)`` pair, the other cells are counted by
     ``_size_counts`` from their sizes, read off one sort of ``c``.  When
-    a pair repeats, every out-of-cell point is keyed by ``_cell_rank_keys``
-    and counted by binary search.
+    a pair repeats, each out-of-cell key ``r / N`` from ``_cell_ranks``
+    lies below ``a / m`` from ``a = r * m // N + 1`` on, and at or below it
+    from ``a = ceil(r * m / N)`` on: running sums of the counts of those
+    first ``a`` give the counts, exactly in int64 as ``r * m <= n**2``.
     """
-    a = np.arange(m + 1)
     if _repeats_a_pair(y, t):
         out = c != c_test
-        keys = _cell_rank_keys(c[out], y[out], t[out])
-        return keys.searchsorted(a / m), keys.searchsorted(a / m, "right")
+        r, N = _cell_ranks(c[out], y[out], t[out])
+        rm = r * m
+        below = np.bincount(rm // N + 1, minlength=m + 2)[: m + 1].cumsum()
+        return below, np.bincount(-(-rm // N), minlength=m + 1).cumsum()
     cs = np.sort(c)
     bounds = _runs(cs)
     labels, sizes = cs[bounds[:-1]], np.diff(bounds)
@@ -640,7 +649,7 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
     ones = np.count_nonzero(y[np.isin(c, lone)] >= 0) if len(lone) else 0
     s = np.flatnonzero(cells_of_size[2:]) + 2
     counts = dict(zip(s.tolist(), cells_of_size[s].tolist()))
-    return _size_counts(a, m, int(cells_of_size[1]) - ones, ones, counts)
+    return _size_counts(np.arange(m + 1), m, int(cells_of_size[1]) - ones, ones, counts)
 
 
 def hcps_band(
@@ -669,17 +678,10 @@ def hcps_band(
     grows.  So every jump raises the lower value, as ``B`` rises there, or
     with the test cell empty (``a`` going 0 to 1) the lower or the upper one.
 
-    Those counts are exact: when no two training points share a
-    ``(y, theta)`` pair, ``_size_counts`` takes them from the cell sizes in
-    int64 arithmetic.  Once two share a pair, in the test cell or not, which
-    tied tie-break numbers alone can give, every out-of-cell point is keyed
-    as a double ``a / N`` and counted by binary search.  These keys compare
-    exactly as the rationals do: integer division is correctly rounded, so
-    equal rationals (``1/2`` and ``2/4``) give the same double, and distinct
-    ones with denominators at most ``2**26`` differ by at least ``2**-52``,
-    more than the spacing of doubles in ``[0, 1]``, so they round to
-    distinct doubles in the same order.  ``histogram_score`` divides the
-    same integers the same way, and ``N <= n``.
+    Those counts are exact, in int64 arithmetic: ``_out_of_cell_counts``
+    takes them from the cell sizes when no two training points share a
+    ``(y, theta)`` pair, and from every out-of-cell point's rank once two
+    do, in the test cell or not, which tied tie-break numbers alone can give.
     """
     n = len(training)
     if n < 1:
@@ -721,12 +723,12 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     ``a / m = hi / m``, or ``a / 1`` by the sign rule in an empty cell.  The
     step's counts are ``lo`` and ``hi + 1`` plus the keys below, and at or
     below, ``a / m`` of the other cells: ``_size_counts`` takes them from
-    the cell sizes when no two rows share a pair, and
-    ``_out_of_cell_counts`` otherwise, O(n log n) a step.
+    the cell sizes when no two rows share a pair, and from the other rows'
+    ranks by ``_out_of_cell_counts`` otherwise, O(n log n) a step.
     """
     k = len(training)
     thetas = _tie_breaks(thetas, k)
-    less, upto = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64)
+    less, upto = np.empty(max(k - 1, 0), dtype=np.int64), np.empty(max(k - 1, 0), dtype=np.int64)
     repeats = _repeats_a_pair(training.ys, thetas)
     x_col, ys, ts = scalar_column(training), training.ys.tolist(), thetas.tolist()
     h = pairs = sizes = singles = None

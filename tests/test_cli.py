@@ -84,6 +84,18 @@ def test_band_seed_env_fallback(capsys, dh_csv, monkeypatch):
     assert via_env == via_flag
 
 
+def test_bad_seed_env_is_a_usage_error_naming_it(capsys, dh_csv, monkeypatch):
+    monkeypatch.setenv("CPSKIT_SEED", "abc")
+    for argv in (
+        ["band", "--system", "nn", "--input", dh_csv, "--x", "0.5"],
+        ["consistency", "--system", "dh", "--ns", "10", "--trials", "1"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cpskit: error: CPSKIT_SEED must be an integer, got 'abc'\n"
+
+
 def test_band_venn_requires_postulated_response(capsys, dh_csv):
     code, _ = run(capsys, ["band", "--system", "venn", "--input", dh_csv, "--x", "0.5"])
     assert code == 1

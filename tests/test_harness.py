@@ -101,10 +101,25 @@ def test_ks_uniform_examples():
 
 @pytest.mark.parametrize("values", [[0.5, math.nan], [math.nan], [math.nan, 0.5, 0.25]])
 def test_ks_uniform_rejects_nan(values):
-    # A NaN anywhere leaves the sorted values unordered, so their ends alone
-    # do not show it.
+    # A NaN anywhere, first, last or alone, fails the range check.
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ks_uniform(values)
+
+
+def _ks_uniform_loop(values):
+    """The KS distance one sorted value at a time, in Python floats."""
+    vs, d = sorted(float(v) for v in values), 0.0
+    for i, v in enumerate(vs):
+        d = max(d, v - i / len(vs), (i + 1) / len(vs) - v)
+    return d
+
+
+def test_ks_uniform_matches_the_loop_to_the_bit():
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        k = int(rng.integers(1, 500))
+        values = rng.random(k) if rng.random() < 0.5 else rng.choice([0.0, 0.3, 1.0], k)
+        assert ks_uniform(values.tolist()) == _ks_uniform_loop(values)
 
 
 def test_pit_sample_basics():
@@ -130,7 +145,7 @@ def test_pit_sample_fixed_tau_stays_in_range():
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
-P1, CLAMP = SAMPLERS["p1"], TEST_FUNCTIONS["clamp"]
+P1, P3, CLAMP = SAMPLERS["p1"], SAMPLERS["p3"], TEST_FUNCTIONS["clamp"]
 
 
 @pytest.mark.parametrize(
@@ -147,16 +162,35 @@ P1, CLAMP = SAMPLERS["p1"], TEST_FUNCTIONS["clamp"]
         (partial(consistency_curve, "dh", P1, CLAMP, [0], 1, 1), "sizes must be >= 1"),
         (partial(venn_calibration, histogram_taxonomy, P1, 0, 10, [0.0], 1), "n must be >= 1"),
         (partial(venn_calibration, histogram_taxonomy, P1, 5, 0, [0.0], 1), "trials must be"),
+        (partial(pit_sample, "dh", P1, 2.5, 3, 1), "n must be >= 1"),
+        (partial(pit_sample, "dh", P1, True, 3, 1), "n must be >= 1"),
+        (partial(pit_sample, "dh", P1, 5, 2.5, 1), "trials must be >= 1"),
+        (partial(online_coverage, "dh", P1, 5.5, 0.1, 1), "steps must be >= 1"),
+        (partial(consistency_curve, "dh", P1, CLAMP, [10, 10.5], 1, 1), "sizes must be >= 1"),
+        (partial(consistency_curve, "dh", P1, CLAMP, [10], 2.5, 1), "trials must be >= 1"),
+        (partial(venn_calibration, histogram_taxonomy, P3, 5.5, 10, [0.0], 1), "n must be >= 1"),
+        (partial(venn_calibration, histogram_taxonomy, P3, 5, 2.5, [0.0], 1), "trials must be"),
     ],
     ids=[
         "pit n", "pit trials", "pit pfs", "online steps", "online epsilon < 0",
         "online epsilon > 1", "online epsilon nan", "consistency trials", "consistency n",
-        "venn n", "venn trials",
+        "venn n", "venn trials", "pit n real", "pit n bool", "pit trials real",
+        "online steps real", "consistency n real", "consistency trials real", "venn n real",
+        "venn trials real",
     ],
 )
 def test_harness_rejects_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_harness_accepts_numpy_integer_sizes():
+    n, trials = np.int64(5), np.uint8(3)
+    assert pit_sample("dh", P1, n, trials, 1) == pit_sample("dh", P1, 5, 3, 1)
+    assert online_coverage("dh", P1, n, 0.1, 1) == online_coverage("dh", P1, 5, 0.1, 1)
+    got = consistency_curve("dh", P1, CLAMP, [n], trials, 1)
+    assert got == consistency_curve("dh", P1, CLAMP, [5], 3, 1)
+    assert type(got[0][0]) is int
 
 
 def test_consistency_checks_every_size_before_the_first_trial(monkeypatch):

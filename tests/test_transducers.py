@@ -28,7 +28,7 @@ from cpskit import (
     trivial_score,
     venn_distribution,
 )
-from cpskit.transducers import _cell_rank_keys, _group, dh_online, hcps_online, nn_online
+from cpskit.transducers import _cell_ranks, _group, dh_online, hcps_online, nn_online
 
 TOL = 1e-12
 
@@ -233,6 +233,25 @@ def test_dh_online_peak_memory_is_linear(digits):
 def test_dh_online_rejects_non_finite_responses(bad):
     with pytest.raises(ValueError, match="responses must be finite"):
         dh_online([1.0, bad, 0.5])
+
+
+@pytest.mark.parametrize("build", [dh_band, dh_online])
+@pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones((3, 2)), 1.0])
+def test_dh_forms_reject_responses_that_are_not_one_dimensional(build, bad):
+    with pytest.raises(ValueError, match="responses must be one-dimensional"):
+        build(bad)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_online_forms_have_no_step_without_two_rows(k):
+    cols = Columns(np.zeros((k, 1)), np.zeros(k))
+    for less, upto in (
+        dh_online(cols.ys.tolist()),
+        nn_online(cols, derive_stream(1, [0])),
+        hcps_online(cols, np.full(k, 0.5)),
+    ):
+        assert less.dtype == upto.dtype == np.int64
+        assert less.shape == upto.shape == (0,)
 
 
 # --- nearest-neighbour band -------------------------------------------------
@@ -666,8 +685,9 @@ def test_group_keeps_the_first_signed_zero_of_the_input():
 
 
 def _cell_rank_keys_lexsort(c, y, t):
-    """The out-of-cell keys of hcps_band through a three-key lexsort, as they
-    were computed before."""
+    """The out-of-cell keys of hcps_band through a three-key lexsort, sorted
+    doubles ``rank / N``, as they were computed before they were counted in
+    integers."""
     order = np.lexsort((t, y, c))
     c, y, t = c[order], y[order], t[order]
     new_cell = np.ones(len(c), dtype=bool)
@@ -711,12 +731,13 @@ def test_cell_rank_keys_match_the_lexsort_ranking(n, rounds):
         if rng.random() < 0.3:
             ys = rng.normal(size=size)
         ts = rng.choice([0.0, 0.25, 0.5, 1.0], size) if rng.random() < 0.7 else rng.random(size)
-        got = _cell_rank_keys(cells, ys, ts)
-        assert got.tolist() == _cell_rank_keys_by_score(cells, ys, ts)
+        r, N = _cell_ranks(cells, ys, ts)
+        assert r.dtype == N.dtype == np.int64
+        assert np.sort(r / N).tolist() == _cell_rank_keys_by_score(cells, ys, ts)
 
 
 @pytest.mark.parametrize("n", [20, 5000])
-def test_hcps_band_on_tied_inputs_matches_the_lexsort_keys(n, monkeypatch):
+def test_hcps_band_on_tied_inputs_matches_the_lexsort_keys(n):
     import cpskit.transducers as transducers
 
     rng = np.random.default_rng(n + 1)
@@ -727,8 +748,8 @@ def test_hcps_band_on_tied_inputs_matches_the_lexsort_keys(n, monkeypatch):
         )
         cases.append((columns, rng.choice([0.0, 0.5, 1.0], n + 1)))
     bands = [hcps_band(columns, 0.3, thetas=thetas).to_json() for columns, thetas in cases]
-    monkeypatch.setattr(transducers, "_cell_rank_keys", _cell_rank_keys_lexsort)
-    assert bands == [hcps_band(columns, 0.3, thetas=thetas).to_json() for columns, thetas in cases]
+    want = [_hcps_band_sorting_every_key(columns, 0.3, th).to_json() for columns, th in cases]
+    assert bands == want
 
 
 # --- hist-conformal bands from cell sizes ---------------------------------------
@@ -736,15 +757,15 @@ def test_hcps_band_on_tied_inputs_matches_the_lexsort_keys(n, monkeypatch):
 
 def _hcps_band_sorting_every_key(columns, x, thetas):
     """hcps_band as it was computed before out-of-cell points were counted
-    from cell sizes: every out-of-cell key from ``_cell_rank_keys``, as a
-    double, counted by binary search."""
+    from cell sizes or ranks in integers: every out-of-cell key from
+    ``_cell_rank_keys_lexsort``, as a double, counted by binary search."""
     import cpskit.transducers as transducers
 
     n = len(columns)
     cells, c_test = transducers._cells(columns, x)
     in_test = cells == c_test
     theta_cand, den, out = thetas[n], n + 1, ~in_test
-    out_keys = _cell_rank_keys(cells[out], columns.ys[out], thetas[:n][out])
+    out_keys = _cell_rank_keys_lexsort(cells[out], columns.ys[out], thetas[:n][out])
 
     def band_values(less, tied, key):
         lo = less + out_keys.searchsorted(key)
@@ -817,7 +838,7 @@ def test_hcps_band_keys_every_out_of_cell_point_once_a_pair_repeats(monkeypatch)
     def refuse(c, y, t):
         raise AssertionError("a cell without a repeated pair was ranked")
 
-    monkeypatch.setattr(transducers, "_cell_rank_keys", refuse)
+    monkeypatch.setattr(transducers, "_cell_ranks", refuse)
     assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
 
     # Two rows of the cell [0, 1/8) now share one (y, theta) pair: every
@@ -831,9 +852,9 @@ def test_hcps_band_keys_every_out_of_cell_point_once_a_pair_repeats(monkeypatch)
 
     def spy(c, y, t):
         seen.append(c)
-        return _cell_rank_keys(c, y, t)
+        return _cell_ranks(c, y, t)
 
-    monkeypatch.setattr(transducers, "_cell_rank_keys", spy)
+    monkeypatch.setattr(transducers, "_cell_ranks", spy)
     assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
     (keyed,) = seen
     cells, c_test = transducers._cells(columns, 0.9)
@@ -841,10 +862,10 @@ def test_hcps_band_keys_every_out_of_cell_point_once_a_pair_repeats(monkeypatch)
 
 
 def _out_of_cell_counts_by_keys(c, c_test, y, t, m):
-    """Every out-of-cell point keyed by ``_cell_rank_keys`` and counted by
-    binary search, below ``a / m`` and at or below it, ``a = 0..m``."""
+    """Every out-of-cell point keyed by ``_cell_rank_keys_lexsort`` and
+    counted by binary search, below ``a / m`` and at or below it, ``a = 0..m``."""
     out = c != c_test
-    keys = _cell_rank_keys(c[out], y[out], t[out])
+    keys = _cell_rank_keys_lexsort(c[out], y[out], t[out])
     a = np.arange(m + 1) / m
     return keys.searchsorted(a), keys.searchsorted(a, "right")
 
@@ -869,6 +890,10 @@ def test_out_of_cell_counts_match_the_keyed_route():
     yr, tr, cr = y.copy(), t.copy(), c.copy()
     cr[:2], yr[1], tr[1] = 0.0, yr[0], tr[0]
     cases["pair repeated only in the test cell"] = (cr, 0.0, yr, tr)
+    # Pairs on a grid repeat in every cell, beside singletons of both signs.
+    cases["pairs repeated in other cells"] = (
+        np.append(c, lone), 1.0, rng.choice([-0.0, 0.0, 1.0], 70), rng.choice([0.0, 0.5], 70)
+    )
     for name, (cells, c_test, ys, ts) in cases.items():
         for m in (1, 2, 5, 13):
             got = _out_of_cell_counts(cells, c_test, ys, ts, m)
