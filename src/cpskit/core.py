@@ -114,6 +114,23 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _checked(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 ``xs[n, d]`` (or ``xs[n]``, read as ``d = 1``) and ``ys[n]``, checked finite."""
+    if xs.ndim == 1:
+        xs = xs.reshape(-1, 1)
+    if xs.ndim != 2 or ys.ndim != 1 or len(xs) != len(ys):
+        raise ValueError(
+            f"need xs[n, d] and ys[n], got shapes {xs.shape} and {ys.shape}"
+        )
+    if xs.shape[1] < 1:
+        raise ValueError("predictor must have dimension >= 1")
+    if not np.isfinite(xs).all():
+        raise ValueError("predictor components must be finite")
+    if not np.isfinite(ys).all():
+        raise ValueError("responses must be finite")
+    return xs, ys
+
+
 class Columns:
     """Observations in column form: float64 predictors ``xs[n, d]`` and
     responses ``ys[n]``.
@@ -125,20 +142,13 @@ class Columns:
     __slots__ = ("xs", "ys")
 
     def __init__(self, xs, ys):
-        xs, ys = _frozen(xs), _frozen(ys)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1)
-        if xs.ndim != 2 or ys.ndim != 1 or len(xs) != len(ys):
-            raise ValueError(
-                f"need xs[n, d] and ys[n], got shapes {xs.shape} and {ys.shape}"
-            )
-        if xs.shape[1] < 1:
-            raise ValueError("predictor must have dimension >= 1")
-        if not np.isfinite(xs).all():
-            raise ValueError("predictor components must be finite")
-        if not np.isfinite(ys).all():
-            raise ValueError("responses must be finite")
-        self.xs, self.ys = xs, ys
+        self.xs, self.ys = _checked(_frozen(xs), _frozen(ys))
+
+    @classmethod
+    def _own(cls, xs: np.ndarray, ys: np.ndarray) -> "Columns":
+        """Columns of float64 arrays that a sampler has just made and nothing
+        else writes: checked as the constructor checks its copies, not copied."""
+        return cls._adopt(*_checked(xs, ys))
 
     @classmethod
     def _adopt(cls, xs: np.ndarray, ys: np.ndarray) -> "Columns":
@@ -388,12 +398,16 @@ class RandomStream:
     """Deterministic uniform stream addressed by a seed and a derivation path.
 
     Distinct paths under the same master seed give independent streams; the
-    same (seed, path) pair always replays the same sequence of draws.
+    same (seed, path) pair always replays the same sequence of draws.  The
+    seed is a Python or numpy integer, taken modulo ``2**64``; any other
+    value, a float or a bool included, raises ValueError.
     """
 
     __slots__ = ("seed", "path", "draws", "_gen")
 
     def __init__(self, seed: int, path: Sequence[int] = ()):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed) % (1 << 64)
         self.path = tuple(int(p) for p in path)
         if any(p < 0 for p in self.path):

@@ -95,7 +95,10 @@ class Sampler:
     ``columns`` and ``draw`` consume exactly two uniforms per observation,
     ``(u1, u2)`` for row ``i`` being draws ``2i`` and ``2i + 1``.  Subclasses
     define their law once, as ``_make_columns(u1, u2)`` over the two uniform
-    arrays.  Subclasses with a closed-form conditional oracle implement
+    arrays: ``u1`` is a fresh copy, which the law may keep as its predictor
+    column, and ``u2`` a view of the draws, which it must neither write nor
+    keep, so ``Columns._own`` takes each column without copying it again.
+    Subclasses with a closed-form conditional oracle implement
     ``conditional_mean``.
     """
 
@@ -108,7 +111,7 @@ class Sampler:
     def columns(self, stream: RandomStream, k: int) -> Columns:
         """``k`` observations in column form."""
         us = stream.uniforms(2 * k)
-        return self._make_columns(us[0::2], us[1::2])
+        return self._make_columns(us[0::2].copy(), us[1::2])
 
     def draw(self, stream: RandomStream, k: int) -> list[Observation]:
         """``k`` observations; the rows of ``columns`` on the same stream."""
@@ -124,7 +127,13 @@ class NoisyLineSampler(Sampler):
     name = "p1"
 
     def _make_columns(self, u1, u2):
-        return Columns(u1, 2.0 * u1 + np.where(u2 < 0.5, -1.0, 1.0))
+        # y = 2 x + nu with nu = sign(u2 - 1/2), +1 at 1/2, is computed in
+        # place as 2 (x + nu / 2): doubling is exact, so both round alike.
+        ys = np.subtract(u2, 0.5)
+        np.copysign(0.5, ys, out=ys)
+        ys += u1
+        ys *= 2.0
+        return Columns._own(u1, ys)
 
     def conditional_mean(self, f, x):
         below, above = f.fn(np.array([2.0 * x - 1.0, 2.0 * x + 1.0]))
@@ -138,7 +147,7 @@ class IndependentSampler(Sampler):
     _integrals = {"clamp": 0.5, "cos": math.sin(1.0)}
 
     def _make_columns(self, u1, u2):
-        return Columns(u1, u2)
+        return Columns._own(u1, u2.copy())
 
     def conditional_mean(self, f, x):
         try:
@@ -156,7 +165,7 @@ class BernoulliSampler(Sampler):
     binary = True
 
     def _make_columns(self, u1, u2):
-        return Columns(u1, np.where(u2 < u1, 1.0, 0.0))
+        return Columns._own(u1, np.less(u2, u1).astype(np.float64))
 
     def conditional_mean(self, f, x):
         at_0, at_1 = f.fn(np.array([0.0, 1.0]))
@@ -299,10 +308,14 @@ def pit_sample(
 
 
 def ks_uniform(values: Sequence[float]) -> float:
-    """Kolmogorov-Smirnov distance of ``values`` from the uniform law on [0, 1]."""
-    if len(values) == 0:
+    """Kolmogorov-Smirnov distance of ``values``, a one-dimensional
+    sequence, from the uniform law on [0, 1]."""
+    vs = np.asarray(values, dtype=np.float64)
+    if vs.ndim != 1:
+        raise ValueError(f"ks_uniform needs a one-dimensional sequence, got shape {vs.shape}")
+    if len(vs) == 0:
         raise ValueError("ks_uniform needs at least one value")
-    vs = np.sort(np.asarray(values, dtype=np.float64))
+    vs = np.sort(vs)
     if not (vs[0] >= 0.0 and vs[-1] <= 1.0):  # the sort puts a NaN last
         raise ValueError("values must lie in [0, 1]")
     i, m = np.arange(len(vs)), len(vs)

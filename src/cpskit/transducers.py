@@ -132,19 +132,20 @@ def _runs(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def _group(values) -> tuple[np.ndarray, np.ndarray]:
+def _group(values, order=None) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values in increasing order, and the counts below them.
 
     Returns ``(jumps, below)`` where ``below[k]`` counts the values less than
     ``jumps[k]`` and the extra last entry ``below[-1]`` counts them all.  Of
     equal values ``-0.0`` and ``0.0`` the first given becomes the jump, as
-    with a stable sort.
+    with a stable sort.  ``order``, an argsort of ``values`` that the caller
+    needs as well, takes the place of the sort.
     """
     values = np.asarray(values, dtype=np.float64)
-    v = np.sort(values)
+    v = np.sort(values) if order is None else values[order]
     below = _runs(v)
     jumps = v[below[:-1]]
-    # The sort may put -0.0 and 0.0 in either order.
+    # Neither sort nor argsort is stable: -0.0 and 0.0 come in either order.
     z = jumps.searchsorted(0.0)
     if z < len(jumps) and jumps[z] == 0.0:
         jumps[z] = values[(values == 0.0).argmax()]
@@ -696,8 +697,9 @@ def hcps_band(
     # In-cell points below the candidate and tied with it, and the
     # candidate's key a / m: on the plateaus, then at the jumps.
     if m:
-        jumps, below = _group(yc)
-        tc = tc[yc.argsort()]
+        order = yc.argsort()
+        jumps, below = _group(yc, order)
+        tc = tc[order]
         starts = below[:-1]
         less = np.concatenate((below, starts + np.add.reduceat(tc < theta_cand, starts)))
         tied = np.concatenate(

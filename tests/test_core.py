@@ -2,11 +2,13 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from cpskit import (
+    SAMPLERS,
     Columns,
     ExtendedObservation,
     Observation,
@@ -15,7 +17,9 @@ from cpskit import (
     dh_band,
     hmps_band,
     ks_uniform,
+    online_coverage,
     pfs_distribution,
+    pit_sample,
 )
 from cpskit.harness import rows_to_csv
 
@@ -459,6 +463,30 @@ def test_stream_rejects_negative_counts():
     assert st.draws == 0
     st.skip(0)
     assert st.draws == 0 and st.uniform() == derive_stream(7, [0]).uniform()
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(3.0), True, np.bool_(False), "x", "7", None])
+def test_stream_rejects_a_seed_that_is_not_an_integer(seed):
+    # int() would truncate 2.5 to seed 2 and read True as seed 1.
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        derive_stream(seed, [0])
+
+
+def test_stream_accepts_python_and_numpy_integers():
+    for seed in (np.int64(-5), np.uint8(200), -(1 << 70), 1 << 64):
+        draws = derive_stream(seed, [1]).uniforms(3)
+        assert (draws == derive_stream(int(seed) % (1 << 64), [1]).uniforms(3)).all()
+    assert derive_stream(-1, [0]).seed == (1 << 64) - 1
+
+
+def test_experiments_reject_a_seed_that_is_not_an_integer():
+    p1 = SAMPLERS["p1"]
+    for call in (lambda s: pit_sample("dh", p1, 5, 3, s),
+                 lambda s: online_coverage("dh", p1, 10, 0.1, s)):
+        assert call(2) == call(np.int32(2))
+        for seed in (2.5, 2.7, True, "x"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call(seed)
 
 
 def test_stream_permutation_is_deterministic():

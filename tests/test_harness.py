@@ -1,6 +1,7 @@
 """Samplers, validity statistics, consistency curves, and exact demos."""
 
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -54,6 +55,39 @@ def test_sampler_columns_match_the_per_row_maker():
         assert sampler.draw(derive_stream(34, [0]), 50) == by_row
 
 
+def _assert_rows(cols, rows):
+    assert cols.xs.shape == (len(rows), 1) and cols.ys.shape == (len(rows),)
+    assert cols.xs.tobytes() == np.array([o.x for o in rows]).tobytes()
+    assert cols.ys.tobytes() == np.array([o.y for o in rows]).tobytes()
+    assert not (cols.xs.flags.writeable or cols.ys.flags.writeable)
+    # Two columns of their own, not strided views that keep all the draws alive.
+    assert cols.xs.flags.c_contiguous and cols.ys.flags.c_contiguous
+    assert not np.shares_memory(cols.xs, cols.ys)
+
+
+@pytest.mark.parametrize("k", [1, 2, 21, 1000])
+def test_sampler_columns_are_the_row_laws_bit_for_bit(k):
+    # The whole-array laws against the literal ones, sign bit included, and
+    # two draws a row.
+    for seed in range(-1, 21):
+        us = derive_stream(seed, [5]).uniforms(2 * k).tolist()
+        for sampler in list(SAMPLERS.values()) + [_ConstantSampler()]:
+            stream = derive_stream(seed, [5])
+            cols = sampler.columns(stream, k)
+            assert stream.draws == 2 * k
+            _assert_rows(cols, [ROW_LAWS[sampler.name](*u) for u in zip(us[0::2], us[1::2])])
+
+
+def test_sampler_laws_at_the_edges_of_the_uniforms():
+    # p1 gives y = +0.0 at u1 = 0.5 with u2 below 0.5, and p3 ties at u1 = u2.
+    below = 0.5 - 2.0**-54
+    u1 = [0.0, 0.0, 0.5, 0.5, 0.5, below, 1.0 - 2.0**-53, 2.0**-53, 0.25]
+    u2 = [0.0, 0.5, 0.5, below, 0.0, 0.5, 1.0 - 2.0**-53, 0.75, 0.25]
+    for sampler in SAMPLERS.values():
+        cols = sampler._make_columns(np.array(u1), np.array(u2))
+        _assert_rows(cols, [ROW_LAWS[sampler.name](*u) for u in zip(u1, u2)])
+
+
 def test_conditional_means_are_python_floats():
     for name, sampler in SAMPLERS.items():
         for f in TEST_FUNCTIONS.values():
@@ -97,6 +131,14 @@ def test_ks_uniform_examples():
         ks_uniform([])
     with pytest.raises(ValueError):
         ks_uniform([0.2, 1.4])
+
+
+@pytest.mark.parametrize("values", [[[0.1, 0.2]], [[0.1], [0.2]], 0.5, [[]]])
+def test_ks_uniform_rejects_values_that_are_not_one_dimensional(values):
+    # A column of values used to give 0.9, each row sorted on its own.
+    shape = np.shape(values)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        ks_uniform(np.array(values))
 
 
 @pytest.mark.parametrize("values", [[0.5, math.nan], [math.nan], [math.nan, 0.5, 0.25]])

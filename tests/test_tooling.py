@@ -150,3 +150,33 @@ def _named_outside_definitions(root):
 def test_every_function_is_named_outside_its_own_definition():
     # A helper that nothing names any more is dead code; keep the tree free of it.
     assert _named_outside_definitions(TRACING.parents[1]) == []
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+
+def _scalar_branch_wheres(source):
+    """Line numbers of ``np.where(cond, a, b)`` calls whose ``a`` and ``b``
+    are both number literals (signed or not) in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "where" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and len(node.args) == 3 and all(map(_is_number, node.args[1:]))]
+
+
+def test_the_scalar_branch_where_is_caught():
+    assert _scalar_branch_wheres("np.where(u < 0.5, -1.0, 1.0)\nnumpy.where(c, 1, +0)") == [1, 2]
+    assert _scalar_branch_wheres("np.where(c, x, 1.0)\nnp.where(c)\nnp.where(c, -x, 0)") == []
+
+
+def test_no_where_picks_between_two_numbers():
+    # np.where(cond, 1.0, 0.0) broadcasts two scalars through numpy's generic
+    # loop; at 10^4 rows it cost p1's sampler more than its arithmetic did.
+    # A comparison cast to float, or copysign, computes the same values.
+    found = [f"{path.name}:{line}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for line in _scalar_branch_wheres(path.read_text())]
+    assert found == []
