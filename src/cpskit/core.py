@@ -10,10 +10,9 @@ values can be shared freely between threads or processes.
 from __future__ import annotations
 
 import bisect
-import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,27 +47,55 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-@dataclass(frozen=True)
-class Observation:
+class _Record:
+    """Immutable value: setting or deleting an attribute raises.  Equality,
+    hashing, ``repr`` and pickling go by ``_values``, the tuple of the values
+    of the fields named in ``__slots__``; PredictiveBand, stored otherwise,
+    defines its own."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
+class Observation(_Record):
     """A predictor vector paired with a real response.
 
     ``x`` accepts a bare number for one-dimensional problems and is stored
     as a tuple so that observations stay hashable.
     """
 
-    x: tuple[float, ...]
-    y: float
+    __slots__ = ("x", "y")
+    _values = property(attrgetter(*__slots__))
 
-    def __post_init__(self) -> None:
-        raw = self.x
-        if isinstance(raw, (int, float)):
-            xs = (_finite(raw, "predictor component"),)
+    def __init__(self, x, y):
+        if isinstance(x, (int, float)):
+            xs = (_finite(x, "predictor component"),)
         else:
-            xs = tuple(_finite(v, "predictor component") for v in raw)
+            xs = tuple(_finite(v, "predictor component") for v in x)
         if not xs:
             raise ValueError("predictor must have dimension >= 1")
         object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "y", _finite(self.y, "response"))
+        object.__setattr__(self, "y", _finite(y, "response"))
 
     @property
     def d(self) -> int:
@@ -76,19 +103,19 @@ class Observation:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class ExtendedObservation:
+class ExtendedObservation(_Record):
     """An observation carrying a tie-break number ``theta`` in [0, 1]."""
 
-    obs: Observation
-    theta: float
+    __slots__ = ("obs", "theta")
+    _values = property(attrgetter(*__slots__))
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.obs, Observation):
+    def __init__(self, obs, theta):
+        if not isinstance(obs, Observation):
             raise TypeError("obs must be an Observation")
-        t = _finite(self.theta, "theta")
+        t = _finite(theta, "theta")
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {t}")
+        object.__setattr__(self, "obs", obs)
         object.__setattr__(self, "theta", t)
 
     @property
@@ -201,13 +228,13 @@ def _reprs(*values: np.ndarray) -> list[list[str]]:
     value entries, so each is formatted once, keyed by its float64 bits
     (``-0.0`` and ``0.0`` stay apart)."""
     keys, where = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
-    distinct = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+    distinct = list(map(repr, keys.view(np.float64).tolist()))
     texts = np.array(distinct, dtype=object)[where].tolist()
     bounds = np.cumsum([0] + [len(a) for a in values]).tolist()
     return [texts[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-class PredictiveBand:
+class PredictiveBand(_Record):
     """Piecewise-constant lower/upper distribution-function pair.
 
     The band encodes ``Q_tau(y) = Q_0(y) + tau * (Q_1(y) - Q_0(y))`` for all
@@ -248,12 +275,6 @@ class PredictiveBand:
         object.__setattr__(band, "arrays", arrays)
         band.validate()
         return band
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PredictiveBand is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PredictiveBand is immutable; cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -377,13 +398,16 @@ class PredictiveBand:
         return cls(*(d[k] for k in _BAND_FIELDS))
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict())``, byte for byte."""
+        """``json.dumps(self.to_dict())``, byte for byte: every value is
+        finite, and ``json`` writes a finite float as its ``repr``."""
         jumps, *values = self.arrays
-        fields = [json.dumps(jumps.tolist())] + ["[" + ", ".join(t) + "]" for t in _reprs(*values)]
-        return "{" + ", ".join(f'"{k}": {v}' for k, v in zip(_BAND_FIELDS, fields)) + "}"
+        fields = (map(repr, jumps.tolist()), *_reprs(*values))
+        return "{" + ", ".join(f'"{k}": [{", ".join(t)}]' for k, t in zip(_BAND_FIELDS, fields)) + "}"
 
     @classmethod
     def from_json(cls, s: str) -> "PredictiveBand":
+        import json
+
         return cls.from_dict(json.loads(s))
 
     def to_csv(self) -> str:

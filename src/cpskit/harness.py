@@ -16,10 +16,7 @@ instead of a band per step; ``nn`` ties still draw at every step.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,8 +61,7 @@ __all__ = [
 # Test functions and synthetic samplers
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """A named bounded continuous function with its bound.
 
     ``fn`` acts elementwise on float64 arrays as well as on single floats,
@@ -181,8 +177,7 @@ SAMPLERS: dict[str, Sampler] = {
 # Predictive system registry
 
 
-@dataclass(frozen=True)
-class PredictiveSystemSpec:
+class PredictiveSystemSpec(NamedTuple):
     """One named predictive system: its band builder and the facts callers
     gate on.
 
@@ -264,16 +259,19 @@ def _size(value, name: str) -> int:
     return int(value)
 
 
-def _trial(spec, sampler, n, stream, tau):
+def _trial(spec, sampler, n, stream, tau, oracle=None):
     """``n + 1`` rows, their tie-break numbers, then tau (unless fixed), all
     from ``stream``; returns the band at the last row's predictor, built
-    from the first ``n``, with the last row and tau.  Without ``tie_breaks``
-    the numbers are skipped at the same stream position (``skip`` gives None)."""
+    from the first ``n``, with the last row, tau and ``oracle(last row)``,
+    which is evaluated before the band is built (None without an oracle).
+    Without ``tie_breaks`` the numbers are skipped at the same stream
+    position (``skip`` gives None)."""
     cols = sampler.columns(stream, n + 1)
     thetas = stream.uniforms(n + 1) if spec.tie_breaks else stream.skip(n + 1)
     tau = stream.uniform() if tau is None else float(tau)
     test = cols.row(n)
-    return spec.band(cols.head(n), test.x, stream, thetas, None), test, tau
+    target = None if oracle is None else oracle(test)
+    return spec.band(cols.head(n), test.x, stream, thetas, None), test, tau, target
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ def pit_sample(
         raise ValueError(f"system {system!r} does not define a randomized p-value")
     out = []
     for t in range(trials):
-        band, test, tau_t = _trial(spec, sampler, n, derive_stream(master_seed, [0, t]), tau)
+        band, test, tau_t, _ = _trial(spec, sampler, n, derive_stream(master_seed, [0, t]), tau)
         out.append(band.evaluate(test.y, tau_t))
     return out
 
@@ -383,46 +381,50 @@ def consistency_curve(
     spec = _system(system)
     if spec.postulated:
         raise ValueError(f"system {system!r} needs a postulated response")
-    # Fail fast on a missing oracle before burning trials.
-    sampler.conditional_mean(f, 0.5)
+    if type(sampler).conditional_mean is Sampler.conditional_mean:
+        sampler.conditional_mean(f, 0.5)  # no oracle at all: raises before any stream
     ns = [_size(n, "training sizes") for n in ns]
+    # An oracle without ``f`` raises at the first trial, before its band.
+    oracle = lambda test: sampler.conditional_mean(f, scalar_predictor(test))
     rows: list[tuple[int, float]] = []
     for j, n in enumerate(ns):
         gaps = []
         for t in range(trials):
-            band, test, tau_t = _trial(spec, sampler, n, derive_stream(seed, [2, j, t]), tau)
-            value = band.integrate(f.fn, tau_t)
-            target = sampler.conditional_mean(f, scalar_predictor(test))
-            gaps.append(abs(value - target))
-        rows.append((n, statistics.median(gaps)))
+            stream = derive_stream(seed, [2, j, t])
+            band, _, tau_t, target = _trial(spec, sampler, n, stream, tau, oracle)
+            gaps.append(abs(band.integrate(f.fn, tau_t) - target))
+        rows.append((n, _median(gaps)))
     return rows
+
+
+def _median(values: list[float]) -> float:
+    """``statistics.median(values)``: the middle value, or the mean of the two."""
+    s, k = sorted(values), len(values) // 2
+    return s[k] if len(values) % 2 else (s[k - 1] + s[k]) / 2
 
 
 # ---------------------------------------------------------------------------
 # Exact calibration counterexamples (two-point demos, no sampling)
 
 # Score of an observation (x, y) with x in {+1, -1}: y for x = +1, 3y + 2 for
-# x = -1.  Linear coefficients as exact rationals.
-_DEMO_COEFFS = {1: (Fraction(1), Fraction(0)), -1: (Fraction(3), Fraction(2))}
+# x = -1.  Integer coefficients; the demos divide them as exact rationals.
+_DEMO_COEFFS = {1: (1, 0), -1: (3, 2)}
 
-_DEMO_POINTS = ((-1, Fraction(-1)), (1, Fraction(1)))  # (x label, response)
-
-
-def _demo_score(xlab: int, y: Fraction) -> Fraction:
-    a, b = _DEMO_COEFFS[xlab]
-    return a * y + b
+_DEMO_POINTS = ((-1, -1), (1, 1))  # (x label, response)
 
 
-def _demo_jump(train, test_x: int) -> Fraction:
-    """Response where the candidate's score crosses the training score."""
-    a, b = _DEMO_COEFFS[test_x]
-    return (_demo_score(train[0], train[1]) - b) / a
+def _demo_jump(train, test_x: int) -> tuple[int, int]:
+    """Response where the candidate's score crosses the training score, as
+    (numerator, denominator)."""
+    (a_tr, b_tr), (a, b) = _DEMO_COEFFS[train[0]], _DEMO_COEFFS[test_x]
+    return a_tr * train[1] + b_tr - b, a
 
 
-def _demo_pvalue_mean(train, test_x: int) -> Fraction:
+def _demo_pvalue_mean(train, test_x: int) -> float:
     """tau-averaged rank p-value at response 0 for one training point: the
     value at tau = 1/2 of the rank band of the crossing, exact as a quarter."""
-    return Fraction(dh_band([float(_demo_jump(train, test_x))]).evaluate(0.0, 0.5))
+    num, den = _demo_jump(train, test_x)
+    return dh_band([num / den]).evaluate(0.0, 0.5)
 
 
 def marginal_calibration_exchangeable() -> tuple[Fraction, Fraction, tuple[Fraction, Fraction]]:
@@ -433,12 +435,13 @@ def marginal_calibration_exchangeable() -> tuple[Fraction, Fraction, tuple[Fract
     is 3/4 while the true probability of a response <= 0 is 1/2.  Also
     returns the two jump locations (-1 and -1/3).
     """
+    from fractions import Fraction
+
     a, b = _DEMO_POINTS
     sequences = [(a, b), (b, a)]  # (training point, test point), each weight 1/2
-    y0 = Fraction(0)
-    lhs = sum(_demo_pvalue_mean(tr, te[0]) for tr, te in sequences) / len(sequences)
-    rhs = sum(Fraction(1 if te[1] <= y0 else 0) for _, te in sequences) / len(sequences)
-    jumps = tuple(_demo_jump(tr, te[0]) for tr, te in sequences)
+    lhs = sum(Fraction(_demo_pvalue_mean(tr, te[0])) for tr, te in sequences) / len(sequences)
+    rhs = Fraction(sum(te[1] <= 0 for _, te in sequences), len(sequences))
+    jumps = tuple(Fraction(*_demo_jump(tr, te[0])) for tr, te in sequences)
     return lhs, rhs, jumps
 
 
@@ -449,12 +452,13 @@ def marginal_calibration_iid() -> tuple[Fraction, Fraction, tuple[Fraction, ...]
     equiprobable (training, test) sequences average (3/4, 3/4, 3/4, 1/4) at
     query response 0, so the mean predictive value is 5/8 against a true 1/2.
     """
+    from fractions import Fraction
+
     a, b = _DEMO_POINTS
     sequences = [(a, b), (b, a), (a, a), (b, b)]  # each weight 1/4
-    y0 = Fraction(0)
-    per_sequence = tuple(_demo_pvalue_mean(tr, te[0]) for tr, te in sequences)
+    per_sequence = tuple(Fraction(_demo_pvalue_mean(tr, te[0])) for tr, te in sequences)
     lhs = sum(per_sequence) / len(sequences)
-    rhs = sum(Fraction(1 if te[1] <= y0 else 0) for _, te in sequences) / len(sequences)
+    rhs = Fraction(sum(te[1] <= 0 for _, te in sequences), len(sequences))
     return lhs, rhs, per_sequence
 
 
@@ -462,8 +466,7 @@ def marginal_calibration_iid() -> tuple[Fraction, Fraction, tuple[Fraction, ...]
 # Class-conditional (Venn) calibration
 
 
-@dataclass(frozen=True)
-class VennCalibrationResult:
+class VennCalibrationResult(NamedTuple):
     """Monte-Carlo calibration summary for the realized-response component.
 
     ``marginal`` holds one row per query response: (y, mean predictive value,

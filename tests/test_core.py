@@ -1,5 +1,6 @@
 """Band data structure and random stream tests."""
 
+import copy
 import math
 import pickle
 import re
@@ -9,10 +10,13 @@ import pytest
 
 from cpskit import (
     SAMPLERS,
+    TEST_FUNCTIONS,
     Columns,
     ExtendedObservation,
     Observation,
     PredictiveBand,
+    TestFunction,
+    VennCalibrationResult,
     derive_stream,
     dh_band,
     hmps_band,
@@ -21,7 +25,7 @@ from cpskit import (
     pfs_distribution,
     pit_sample,
 )
-from cpskit.harness import rows_to_csv
+from cpskit.harness import PredictiveSystemSpec, rows_to_csv
 
 TOL = 1e-12
 
@@ -52,6 +56,55 @@ def test_extended_observation_theta_range():
         ExtendedObservation(o, -0.1)
     with pytest.raises(TypeError, match="obs must be an Observation"):
         ExtendedObservation((0.0, 1.0), 0.25)
+
+
+def _value_records():
+    """(record, an equal record with -0.0 for 0.0, an unequal record, repr
+    text, (field, value) pairs) for every immutable record class."""
+    clamp = TEST_FUNCTIONS["clamp"].fn
+    o, o_neg = Observation(0.5, 0.0), Observation(0.5, -0.0)
+    rows, rows_neg = ((0.0, 0.5, 0.5),), ((-0.0, 0.5, 0.5),)
+    return [
+        (o, o_neg, Observation(0.5, 1.0), "Observation(x=(0.5,), y=0.0)",
+         [("x", (0.5,)), ("y", 0.0)]),
+        (ExtendedObservation(o, 0.0), ExtendedObservation(obs=o_neg, theta=-0.0),
+         ExtendedObservation(o, 0.25),
+         "ExtendedObservation(obs=Observation(x=(0.5,), y=0.0), theta=0.0)",
+         [("obs", o), ("theta", 0.0), ("x", (0.5,)), ("y", 0.0)]),
+        (TestFunction("clamp", clamp, 0.0), TestFunction(name="clamp", fn=clamp, bound=-0.0),
+         TestFunction("clamp", clamp, 1.0), f"TestFunction(name='clamp', fn={clamp!r}, bound=0.0)",
+         [("name", "clamp"), ("fn", clamp), ("bound", 0.0)]),
+        (PredictiveSystemSpec("spec", dh_band, tie_breaks=True),
+         PredictiveSystemSpec(name="spec", band=dh_band, tie_breaks=True),
+         PredictiveSystemSpec("spec", dh_band),
+         f"PredictiveSystemSpec(name='spec', band={dh_band!r}, scalar_only=False, "
+         "uniform_pit=False, postulated=False, tie_breaks=True, online=None)",
+         [("name", "spec"), ("band", dh_band), ("scalar_only", False), ("tie_breaks", True),
+          ("online", None)]),
+        (VennCalibrationResult(rows, ((0.25, 3, 1.0),)),
+         VennCalibrationResult(marginal=rows_neg, conditional=((0.25, 3, 1.0),)),
+         VennCalibrationResult(rows, ()),
+         "VennCalibrationResult(marginal=((0.0, 0.5, 0.5),), conditional=((0.25, 3, 1.0),))",
+         [("marginal", rows), ("conditional", ((0.25, 3, 1.0),))]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_records_are_immutable_values(case):
+    record, equal, unequal, text, fields = _value_records()[case]
+    assert record == equal and hash(record) == hash(equal)
+    assert record != unequal
+    assert repr(record) == text
+    for name, value in fields:
+        assert getattr(record, name) == value
+    for name in (fields[0][0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[0][1])
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0][0])
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is type(record) and again == record and repr(again) == text
+    assert TestFunction.__test__ is False
 
 
 def test_band_and_stream_reprs():

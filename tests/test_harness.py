@@ -16,6 +16,7 @@ from cpskit import (
     TestFunction,
     consistency_curve,
     derive_stream,
+    dh_band,
     histogram_taxonomy,
     ks_uniform,
     marginal_calibration_exchangeable,
@@ -502,6 +503,42 @@ def test_consistency_without_an_oracle_fails_before_any_stream(monkeypatch):
     monkeypatch.setattr(harness, "derive_stream", refuse)
     with pytest.raises(ValueError, match="no conditional oracle"):
         consistency_curve("dh", NoOracle(), TEST_FUNCTIONS["clamp"], [10], 5, 1)
+
+
+def test_consistency_calls_the_oracle_once_per_trial_and_before_its_band(monkeypatch):
+    import cpskit.harness as harness
+
+    class NoOracle(Sampler):
+        name = "no-oracle"
+
+        def _make_columns(self, u1, u2):
+            return Columns(u1, u2)
+
+    class Counted(type(SAMPLERS["p1"])):
+        calls = 0
+
+        def conditional_mean(self, f, x):
+            Counted.calls += 1
+            return super().conditional_mean(f, x)
+
+    built = []
+
+    def spy(training, x, stream, thetas, u):
+        built.append(x)
+        return dh_band(training.ys)
+
+    monkeypatch.setitem(harness.SYSTEMS, "spy", harness.PredictiveSystemSpec("spy", spy))
+    clamp, cube = TEST_FUNCTIONS["clamp"], TestFunction("cube", lambda y: y**3, 8.0)
+    for sampler, f, message in ((NoOracle(), clamp, "sampler 'no-oracle' has no conditional "
+                                 "oracle for 'clamp'"),
+                                (SAMPLERS["p2"], cube, "sampler 'p2' has no registered "
+                                 "integral for 'cube'")):
+        with pytest.raises(ValueError, match=message):
+            consistency_curve("spy", sampler, f, [10], 5, 1)
+    assert built == []
+    rows = consistency_curve("spy", Counted(), clamp, [10, 20], 3, 1)
+    assert rows == consistency_curve("dh", SAMPLERS["p1"], clamp, [10, 20], 3, 1)
+    assert len(built) == Counted.calls == 6
 
 
 def test_consistency_dh_small_when_response_independent_of_predictor():

@@ -13,6 +13,8 @@ definition, so that a helper nothing calls any more fails here.
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -180,3 +182,27 @@ def test_no_where_picks_between_two_numbers():
     found = [f"{path.name}:{line}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
              for line in _scalar_branch_wheres(path.read_text())]
     assert found == []
+
+
+_DIET = """
+import sys
+import numpy
+before = set(sys.modules)
+import cpskit
+print(" ".join(sorted(set(sys.modules) - before)))
+import cpskit.cli
+"""
+
+
+def test_importing_the_package_loads_neither_json_nor_statistics_nor_dataclasses():
+    # Every fresh interpreter pays for each module `import cpskit` loads on
+    # top of numpy: json is for the CLI and from_json, fractions for the
+    # exact demos, each imported where it runs; statistics (with fractions
+    # and decimal) and dataclasses are not used at all.
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _DIET], env=env, check=True,
+                           capture_output=True, text=True)
+    added = set(child.stdout.split())
+    assert "cpskit.harness" in added
+    assert added & {"json", "statistics", "fractions", "decimal", "dataclasses"} == set()

@@ -1,5 +1,6 @@
 """Transducers, taxonomies, and band constructors."""
 
+import bisect
 import math
 import tracemalloc
 import warnings
@@ -709,17 +710,24 @@ def _cell_rank_keys_lexsort(c, y, t):
 def _cell_rank_keys_by_score(c, y, t):
     """Every point's ``histogram_score`` against the other points of its cell,
     sorted: the cells as scalar predictors, at width ``h_schedule(1) = 1``.
-    Points with equal ``(cell, y, t)`` score alike, so each such triple is
-    scored once."""
-    cells, scores = {}, {}
+    That score counts the other points of the cell whose ``(y, theta)`` pair
+    is at or below the point's own, so each cell's pairs are sorted once and
+    every count is read off them by bisection.  ``histogram_score`` itself
+    scores each cell's lowest, middle and highest point, which must agree,
+    and every point of a one-point cell."""
+    cells, keys = {}, []
     for ci, yi, ti in zip(c.tolist(), y.tolist(), t.tolist()):
         cells.setdefault(ci, []).append(ExtendedObservation(obs(ci, yi), ti))
     for mates in cells.values():
-        for i, point in enumerate(mates):
-            key = (point.x, point.y, point.theta)
-            if key not in scores:
-                scores[key] = histogram_score(mates[:i] + mates[i + 1 :], point, 1)
-    return sorted(scores[(p.x, p.y, p.theta)] for mates in cells.values() for p in mates)
+        mates.sort(key=lambda e: (e.y, e.theta))
+        pairs, others = [(e.y, e.theta) for e in mates], len(mates) - 1
+        scores = [(bisect.bisect_right(pairs, p) - 1) / max(others, 1) for p in pairs]
+        for i in {0, others // 2, others}:
+            score = histogram_score(mates[:i] + mates[i + 1 :], mates[i], 1)
+            assert others == 0 or score == scores[i]
+            scores[i] = score
+        keys += scores
+    return sorted(keys)
 
 
 @pytest.mark.parametrize("n, rounds", [(20, 400), (5000, 8)])
