@@ -309,16 +309,23 @@ class PredictiveBand(_Record):
         # Strictly increasing jumps with finite ends are all finite.  Every
         # value enters a comparison, which fails on NaN; with both curves
         # monotone and Q_0 <= Q_1, all values lie in [lower[0], upper[-1]].
+        # The comparisons fill one buffer, which one reduction reads.
         if (
-            (m == 0 or math.isfinite(jumps[0]) and math.isfinite(jumps[-1]))
-            and (jumps[1:] > jumps[:-1]).all()
-            and abs(lower[0]) <= VALUE_TOL
-            and abs(upper[-1] - 1.0) <= VALUE_TOL
-            and (lower <= upper).all() and (ajl <= aju).all()
-            and (lower[:-1] <= ajl).all() and (ajl <= lower[1:]).all()
-            and (upper[:-1] <= aju).all() and (aju <= upper[1:]).all()
+            (m == 0 or math.isfinite(jumps.item(0)) and math.isfinite(jumps.item(-1)))
+            and abs(lower.item(0)) <= VALUE_TOL
+            and abs(upper.item(-1) - 1.0) <= VALUE_TOL
         ):
-            return
+            ok, at = np.empty(7 * m + 1, dtype=bool), 0
+            for compare, a, b in (
+                (np.less, jumps[:-1], jumps[1:]),
+                (np.less_equal, lower, upper), (np.less_equal, ajl, aju),
+                (np.less_equal, lower[:-1], ajl), (np.less_equal, ajl, lower[1:]),
+                (np.less_equal, upper[:-1], aju), (np.less_equal, aju, upper[1:]),
+            ):
+                compare(a, b, out=ok[at : at + len(a)])
+                at += len(a)
+            if ok[:at].all():
+                return
         tol, values = VALUE_TOL, np.concatenate((lower, upper, ajl, aju))
         for bad, message in (
             (~np.isfinite(jumps), "jump locations must be finite"),

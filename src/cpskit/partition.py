@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,9 @@ __all__ = [
     "scalar_column",
     "histogram_taxonomy",
 ]
+
+
+_MAX = sys.float_info.max
 
 
 def h_schedule(n: int) -> float:
@@ -48,11 +52,13 @@ def cells(xs, n: int) -> np.ndarray:
     integer to return.
     """
     h = h_schedule(n)
-    with np.errstate(over="ignore"):
-        labels = np.floor(np.asarray(xs, dtype=np.float64) / h)
-    if not np.isfinite(labels).all():
+    xs = np.asarray(xs, dtype=np.float64)
+    # Dividing by a power of 2 shifts the exponent, so ``x / h`` overflows
+    # exactly when ``|x| > max * h``; NaN fails the comparison as well.
+    if xs.size and not (xs.min() >= -_MAX * h and xs.max() <= _MAX * h):
         raise ValueError(f"predictor too large for cells of width {h!r}")
-    return labels
+    labels = xs / h
+    return np.floor(labels, out=labels)
 
 
 def _not_scalar(d: int) -> ValueError:

@@ -129,7 +129,7 @@ def _runs(*columns: np.ndarray) -> np.ndarray:
     np.not_equal(columns[0][1:], columns[0][:-1], out=starts[1:-1])
     for col in columns[1:]:
         starts[1:-1] |= col[1:] != col[:-1]
-    return np.flatnonzero(starts)
+    return starts.nonzero()[0]
 
 
 def _group(values, order=None) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +176,7 @@ def _ecdf_band(values) -> PredictiveBand:
 def _cells(training: Columns, x) -> tuple[np.ndarray, float]:
     """Cell of every training predictor and of ``x``, at width ``h_schedule(n)``."""
     x = _finite(scalar_predictor(x), "predictor component")
-    labels = cells(np.append(scalar_column(training), x), len(training))
+    labels = cells(np.concatenate((scalar_column(training), (x,))), len(training))
     return labels[:-1], labels[-1]
 
 
@@ -600,24 +600,39 @@ def _cell_ranks(c: np.ndarray, y: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
     return np.where(mates > 0, rank, y >= 0), np.maximum(mates, 1)
 
 
-def _size_counts(a, m: int, zeros: int, ones: int, sizes: dict[int, int]):
-    """Counts of the keys below ``a / m`` and at or below it, for an int
-    ``a`` or an int64 array of them, over cells of points each scored
-    within its own cell, no two of them sharing a ``(y, t)`` pair.
+def _size_counts(a, m: int, zeros, ones, sizes):
+    """The count rule of points each scored within its own cell, no two
+    sharing a ``(y, t)`` pair: how many of their keys lie below ``a / m``
+    and at or below it, for an int ``a`` or an int64 array of them.
 
-    ``sizes`` maps each cell size ``N + 1 >= 2`` to its number of cells.
-    Such a cell holds the keys ``r / N``, ``r = 0..N``: ``ceil(a * N / m)``
-    of them lie below ``a / m`` and ``floor(a * N / m) + 1`` at or below it,
-    exactly in int64 as ``a * N <= n**2`` (``n`` below about ``3 * 10**9``).
-    A singleton is keyed by the sign of its response: ``zeros`` of them have
-    the key 0 (``y < 0``) and ``ones`` the key 1 (``y >= 0``, ``-0.0``
-    included).
+    ``sizes`` holds ``(size, count)`` pairs: ``count`` cells of ``size =
+    N + 1 >= 2`` points.  Such a cell holds the keys ``r / N``, ``r =
+    0..N``: ``ceil(a * N / m)`` of them lie below ``a / m`` and ``floor(a *
+    N / m) + 1`` at or below it, exactly in int64 as ``a * N <= n**2``
+    (``n`` below about ``3 * 10**9``).  A singleton is keyed by the sign of
+    its response: ``zeros`` of them have the key 0 (``y < 0``) and ``ones``
+    the key 1 (``y >= 0``, ``-0.0`` included).  ``hcps_online`` passes
+    Python ints, one step at a time; ``_out_of_cell_counts`` passes a row of
+    keys and one pair of columns, sizes and counts, and gets a row of counts
+    for each size, which it sums.
     """
-    below, upto = zeros * (a > 0), zeros + ones * (a == m)
-    for size, count in sizes.items():
+    below = upto = 0
+    if zeros or ones:
+        below, upto = zeros * (a > 0), zeros + ones * (a == m)
+    up = m - 1
+    for size, count in sizes:
+        # On arrays every step after the first two works in place.
         q = a * (size - 1)
-        below += count * -(-q // m)
-        upto += count * (q // m + 1)
+        f = q // m
+        q += up
+        q //= m
+        f += 1
+        q *= count
+        f *= count
+        q += below
+        f += upto
+        below = q
+        upto = f
     return below, upto
 
 
@@ -628,12 +643,19 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
     int64 arrays indexed by ``a = 0..m``.
 
     The route is picked on the whole input, test cell included.  When no two
-    points share a ``(y, t)`` pair, the other cells are counted by
-    ``_size_counts`` from their sizes, read off one sort of ``c``.  When
-    a pair repeats, each out-of-cell key ``r / N`` from ``_cell_ranks``
-    lies below ``a / m`` from ``a = r * m // N + 1`` on, and at or below it
-    from ``a = ceil(r * m / N)`` on: running sums of the counts of those
-    first ``a`` give the counts, exactly in int64 as ``r * m <= n**2``.
+    points share a ``(y, t)`` pair, the cell sizes are read off one sort of
+    ``c`` and ``_size_counts`` counts the other cells of each size for a
+    block of sizes at once.  A cell's keys ``r / N`` are symmetric about
+    1/2, so its keys below ``(m - a) / m`` are its ``N + 1`` keys less those
+    at or below ``a / m``, and the other way round.  So the rule runs on the
+    keys ``a <= m / 2`` only and the rest are mirrored, and a block holds no
+    more (size, key) pairs than there are points outside the test cell.
+    Singletons, when there are any, are found by a binary search of each
+    point's cell among theirs.  When a pair repeats, each out-of-cell key
+    ``r / N`` from ``_cell_ranks`` lies below ``a / m`` from ``a = r * m //
+    N + 1`` on, and at or below it from ``a = ceil(r * m / N)`` on: running
+    sums of the counts of those first ``a`` give the counts, exactly in
+    int64 as ``r * m <= n**2``.
     """
     if _repeats_a_pair(y, t):
         out = c != c_test
@@ -644,13 +666,29 @@ def _out_of_cell_counts(c, c_test, y, t, m: int) -> tuple[np.ndarray, np.ndarray
     cs = np.sort(c)
     bounds = _runs(cs)
     labels, sizes = cs[bounds[:-1]], np.diff(bounds)
+    del cs
     sizes[labels == c_test] = 0
     cells_of_size = np.bincount(sizes, minlength=2)
-    lone = labels[sizes == 1]
-    ones = np.count_nonzero(y[np.isin(c, lone)] >= 0) if len(lone) else 0
-    s = np.flatnonzero(cells_of_size[2:]) + 2
-    counts = dict(zip(s.tolist(), cells_of_size[s].tolist()))
-    return _size_counts(np.arange(m + 1), m, int(cells_of_size[1]) - ones, ones, counts)
+    s = cells_of_size[2:].nonzero()[0] + 2
+    counts, half = cells_of_size[s], m // 2 + 1
+    rows = max(1, (len(c) - m) // half)
+    lo = hi = np.zeros(half, dtype=np.int64)
+    for i in range(0, len(s), rows):
+        block = s[i : i + rows, None], counts[i : i + rows, None]
+        b, u = (k.sum(axis=0) for k in _size_counts(np.arange(half), m, 0, 0, [block]))
+        lo, hi = lo + b, hi + u
+    keys, mirrored = s @ counts, m + 1 - half
+    below = np.concatenate((lo, keys - hi[mirrored - 1 :: -1]))
+    upto = np.concatenate((hi, keys - lo[mirrored - 1 :: -1]))
+    if cells_of_size[1]:
+        # A point is a singleton when the sorted singleton labels hold its cell.
+        lone = labels[sizes == 1]
+        hit = lone.take(lone.searchsorted(c), mode="clip") == c
+        ones = np.count_nonzero(y[hit] >= 0)
+        singles = _size_counts(np.arange(m + 1), m, int(cells_of_size[1]) - ones, ones, ())
+        below += singles[0]
+        upto += singles[1]
+    return below, upto
 
 
 def hcps_band(
@@ -681,8 +719,11 @@ def hcps_band(
 
     Those counts are exact, in int64 arithmetic: ``_out_of_cell_counts``
     takes them from the cell sizes when no two training points share a
-    ``(y, theta)`` pair, and from every out-of-cell point's rank once two
-    do, in the test cell or not, which tied tie-break numbers alone can give.
+    ``(y, theta)`` pair, in a few whole-array steps whatever the number of
+    sizes, and from every out-of-cell point's rank once two do, in the test
+    cell or not, which tied tie-break numbers alone can give.  They are
+    taken before the in-cell arrays are made, and the cell column is dropped
+    after them.
     """
     n = len(training)
     if n < 1:
@@ -690,28 +731,33 @@ def hcps_band(
     thetas = _tie_breaks(thetas, n + 1)
     cols = as_columns(training)
     c, c_test = _cells(cols, x)
-    in_test = c == c_test
+    mates = (c == c_test).nonzero()[0]
+    m = len(mates)
+    out_below, out_upto = _out_of_cell_counts(c, c_test, cols.ys, thetas[:n], max(m, 1))
+    del c
     theta_cand = thetas[n]
-    yc, tc = cols.ys[in_test], thetas[:n][in_test]
-    m = len(yc)
-    # In-cell points below the candidate and tied with it, and the
-    # candidate's key a / m: on the plateaus, then at the jumps.
+    yc, tc = cols.ys[mates], thetas[mates]
+    # In-cell points below the candidate's pair and at or below it, which
+    # with points in the cell is also its key a / m: on the plateaus, then
+    # at the jumps.
     if m:
         order = yc.argsort()
         jumps, below = _group(yc, order)
         tc = tc[order]
         starts = below[:-1]
-        less = np.concatenate((below, starts + np.add.reduceat(tc < theta_cand, starts)))
-        tied = np.concatenate(
-            (np.zeros(len(below), dtype=np.int64), np.add.reduceat(tc == theta_cand, starts))
-        )
-        a = less + tied
+        lt, eq = tc < theta_cand, tc == theta_cand
+        if len(starts) < m:  # tied responses: sum over each group
+            lt, eq = np.add.reduceat(lt, starts), np.add.reduceat(eq, starts)
+        at_jumps = starts + lt
+        less = np.concatenate((below, at_jumps))
+        a = np.concatenate((below, at_jumps + eq))
+        at_or_below = a
     else:
         # Empty test cell: the candidate scores by the sign rule alone.
-        jumps, less, tied, a = np.zeros(1), np.zeros(3, dtype=np.int64), 0, np.array([0, 1, 1])
-    out_below, out_upto = _out_of_cell_counts(c, c_test, cols.ys, thetas[:n], max(m, 1))
+        jumps, less, a = np.zeros(1), np.zeros(3, dtype=np.int64), np.array([0, 1, 1])
+        at_or_below = less
     den = n + 1
-    lo, hi = (less + out_below[a]) / den, (less + tied + 1 + out_upto[a]) / den
+    lo, hi = (less + out_below[a]) / den, (at_or_below + 1 + out_upto[a]) / den
     j = len(jumps) + 1
     return PredictiveBand._adopt(jumps, lo[:j], hi[:j], lo[j:], hi[j:])
 
@@ -730,7 +776,7 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
     """
     k = len(training)
     thetas = _tie_breaks(thetas, k)
-    less, upto = np.empty(max(k - 1, 0), dtype=np.int64), np.empty(max(k - 1, 0), dtype=np.int64)
+    less, upto = [], []
     repeats = _repeats_a_pair(training.ys, thetas)
     x_col, ys, ts = scalar_column(training), training.ys.tolist(), thetas.tolist()
     h = pairs = sizes = singles = None
@@ -769,7 +815,7 @@ def hcps_online(training: Columns, thetas) -> tuple[np.ndarray, np.ndarray]:
             counts = _out_of_cell_counts(col[:n], labels[n], training.ys[:n], thetas[:n], m)
             below, at_or_below = counts[0][a], counts[1][a]
         else:
-            below, at_or_below = _size_counts(a, m, singles[0], singles[1], sizes)
-        less[n - 1] = lo + below
-        upto[n - 1] = hi + 1 + at_or_below
-    return less, upto
+            below, at_or_below = _size_counts(a, m, singles[0], singles[1], sizes.items())
+        less.append(lo + below)
+        upto.append(hi + 1 + at_or_below)
+    return np.array(less, dtype=np.int64), np.array(upto, dtype=np.int64)

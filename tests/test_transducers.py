@@ -908,3 +908,79 @@ def test_out_of_cell_counts_match_the_keyed_route():
             got = _out_of_cell_counts(cells, c_test, ys, ts, m)
             want = _out_of_cell_counts_by_keys(cells, c_test, ys, ts, m)
             assert [g.tolist() for g in got] == [w.tolist() for w in want], (name, m)
+
+
+def _size_counts_one_key_at_a_time(c, c_test, y, m):
+    """The size rule at each ``a = 0..m`` in turn, with Python ints: every
+    cell other than ``c_test`` tallied by size, singletons by the sign of
+    their response."""
+    from cpskit.transducers import _size_counts
+
+    cells = {}
+    for ci, yi in zip(c.tolist(), y.tolist()):
+        if ci != c_test:
+            cells.setdefault(ci, []).append(yi)
+    sizes, zeros, ones = {}, 0, 0
+    for ys in cells.values():
+        if len(ys) == 1:
+            ones, zeros = ones + (ys[0] >= 0), zeros + (ys[0] < 0)
+        else:
+            sizes[len(ys)] = sizes.get(len(ys), 0) + 1
+    counts = [_size_counts(a, m, zeros, ones, sizes.items()) for a in range(m + 1)]
+    return [b for b, _ in counts], [u for _, u in counts]
+
+
+def _realistic_route_cases(rng):
+    """Cells of 10^2 to 10^4 points; 60 distinct sizes beside a large test
+    cell, so that the size route takes many blocks; skewed predictors
+    ``400 * u**4`` at the width of 20000 points, whose test cell is the
+    largest, beside many tiny cells and singletons of both signs."""
+    n = 20_000
+    c = np.floor(rng.random(n) * rng.choice([2, 10, 40], n))
+    assert np.unique(c, return_counts=True)[1].min() >= 100
+    yield "cells of 10^2 to 10^4 points", c, 3.0, rng.normal(size=n), (1, 7, 150, 1000)
+    c = np.concatenate((np.repeat(np.arange(60.0), np.arange(2, 62)), np.full(1500, 99.0)))
+    y = rng.choice([-1.0, 1.0], len(c)) * rng.random(len(c))
+    yield "60 distinct sizes", c, 99.0, y, (1, 61, 400, 1500)
+    c = np.floor(400 * rng.random(n) ** 4 / h_schedule(n))
+    y = rng.normal(size=n)
+    y[c > 1000] = np.where(rng.random(np.count_nonzero(c > 1000)) < 0.5, -0.0, 0.0)
+    sizes = np.unique(c, return_counts=True)[1]
+    assert sizes[0] == sizes.max() > 2000 and np.count_nonzero(sizes == 1) > 1000
+    yield "skewed", c, 0.0, y, (1, 33, 1000)
+
+
+def test_out_of_cell_counts_at_realistic_sizes():
+    from cpskit.transducers import _out_of_cell_counts, _repeats_a_pair
+
+    rng = np.random.default_rng(22)
+    for name, c, c_test, y, ms in _realistic_route_cases(rng):
+        t = rng.random(len(c))
+        assert not _repeats_a_pair(y, t)  # the size route
+        for m in ms:
+            got = [g.tolist() for g in _out_of_cell_counts(c, c_test, y, t, m)]
+            want = [w.tolist() for w in _out_of_cell_counts_by_keys(c, c_test, y, t, m)]
+            assert got == want, (name, m)
+            assert list(_size_counts_one_key_at_a_time(c, c_test, y, m)) == want, (name, m)
+
+
+def test_one_size_rule_serves_the_band_and_the_online_steps(monkeypatch):
+    import cpskit.transducers as transducers
+
+    rule, keys = transducers._size_counts, []
+
+    def spy(a, *args):
+        keys.append(type(a))
+        return rule(a, *args)
+
+    monkeypatch.setattr(transducers, "_size_counts", spy)
+    stream = derive_stream(22, [0])
+    u = stream.uniforms(300)
+    rows = Columns(u, 2 * u + np.where(stream.uniforms(300) < 0.5, -1.0, 1.0))
+    thetas = stream.uniforms(301)
+    want = _hcps_band_sorting_every_key(rows, 0.3, thetas)
+    assert hcps_band(rows, 0.3, thetas=thetas).to_json() == want.to_json()
+    assert keys and all(k is np.ndarray for k in keys)
+    keys.clear()
+    hcps_online(rows, thetas[:300])
+    assert len(keys) == 299 and all(k is int for k in keys)
