@@ -25,6 +25,7 @@ from .core import Columns, Observation, PredictiveBand, RandomStream, derive_str
 from .conformity import histogram_score, nn_score, trivial_score  # noqa: F401
 from .partition import histogram_taxonomy, scalar_predictor
 from .transducers import (
+    _venn_band,
     conformal_pvalue,  # noqa: F401  unused here, bound for perfbench/tracing.py
     dh_band,
     dh_online,
@@ -494,8 +495,9 @@ def venn_calibration(
     of the test response.  For binary samplers the predicted positive
     probability ``p = 1 - Q(0)`` is additionally grouped exactly, recording
     the positive frequency among trials sharing each ``p``.  Each trial draws
-    its ``n + 1`` rows as ``Columns``, so ``taxonomy`` labels ``Columns``, as
-    ``histogram_taxonomy`` does (see ``venn_distribution``).
+    its ``n + 1`` rows as ``Columns`` and builds the band of
+    ``venn_distribution`` from them, the last row as the test observation, so
+    ``taxonomy`` labels ``Columns``, as ``histogram_taxonomy`` does.
     """
     n, trials = _size(n, "n"), _size(trials, "trials")
     grid = [float(y) for y in y_grid]
@@ -504,17 +506,16 @@ def venn_calibration(
     by_p: dict[float, list[int]] = {}
     for t in range(trials):
         cols = sampler.columns(derive_stream(seed, [3, t]), n + 1)
-        test = cols.row(n)
-        band = venn_distribution(taxonomy, cols.head(n), test.x, test.y)
+        band, y_test = _venn_band(taxonomy, cols), float(cols.ys[n])
         for k, y in enumerate(grid):
             mean_q[k] += band.evaluate(y, 0.0)
-            if test.y <= y:
+            if y_test <= y:
                 emp[k] += 1
         if sampler.binary:
             p = 1.0 - band.evaluate(0.0, 0.0)
             bucket = by_p.setdefault(p, [0, 0])
             bucket[0] += 1
-            bucket[1] += 1 if test.y == 1.0 else 0
+            bucket[1] += 1 if y_test == 1.0 else 0
     marginal = tuple(
         (grid[k], mean_q[k] / trials, emp[k] / trials) for k in range(len(grid))
     )

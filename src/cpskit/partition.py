@@ -38,10 +38,16 @@ def h_schedule(n: int) -> float:
 
 
 def cell_index(x: float, h: float) -> int:
-    """Index ``k`` of the half-open cell ``[k*h, (k+1)*h)`` containing ``x``."""
+    """Index ``k`` of the half-open cell ``[k*h, (k+1)*h)`` containing ``x``.
+
+    Raises ValueError, as ``cells`` does, when ``x / h`` overflows.
+    """
     # Division by a power of 2 is exact for doubles, so the boundary x == k*h
     # lands in the right-hand cell reliably.
-    return math.floor(x / h)
+    try:
+        return math.floor(x / h)
+    except OverflowError:
+        raise ValueError(f"predictor too large for cells of width {h!r}") from None
 
 
 def cells(xs, n: int) -> np.ndarray:

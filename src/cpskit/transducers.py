@@ -544,15 +544,25 @@ def venn_distribution(
             raise ValueError(
                 f"x has dimension {len(test.x)}, training predictors have {training.d}"
             )
-        seq = Columns._adopt(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
-    else:
-        seq = list(training) + [test]
-    labels = taxonomy(seq)
-    if len(labels) != n + 1:
-        raise ValueError("taxonomy must label all n + 1 observations")
-    if isinstance(seq, Columns):
-        return _ecdf_band(seq.ys[np.asarray(labels) == labels[n]])
+        joined = Columns._adopt(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
+        return _venn_band(taxonomy, joined)
+    seq = list(training) + [test]
+    labels = _labels(taxonomy, seq)
     return _ecdf_band([o.y for o, lab in zip(seq, labels) if lab == labels[n]])
+
+
+def _labels(taxonomy, rows):
+    """``taxonomy(rows)``, which must label every row."""
+    labels = taxonomy(rows)
+    if len(labels) != len(rows):
+        raise ValueError("taxonomy must label all n + 1 observations")
+    return labels
+
+
+def _venn_band(taxonomy, rows: Columns) -> PredictiveBand:
+    """ECDF of the responses in the last (test) row's taxonomy class among ``rows``."""
+    labels = _labels(taxonomy, rows)
+    return _ecdf_band(rows.ys[np.asarray(labels) == labels[-1]])
 
 
 def _repeats_a_pair(y: np.ndarray, t: np.ndarray) -> bool:

@@ -24,6 +24,7 @@ from cpskit import (
     online_coverage,
     pit_sample,
     venn_calibration,
+    venn_distribution,
 )
 from cpskit.harness import SYSTEMS, Sampler, rows_to_csv
 
@@ -607,6 +608,44 @@ def test_venn_calibration_binary_rows():
     assert total == 300
     for p, cnt, freq in res.conditional:
         assert 0.0 <= p <= 1.0 and 0.0 <= freq <= 1.0 and cnt >= 1
+
+
+def _venn_calibration_by_trial(taxonomy, sampler, n, trials, grid, seed):
+    """venn_calibration written as a loop over the public venn_distribution."""
+    mean_q, emp, by_p = [0.0] * len(grid), [0] * len(grid), {}
+    for t in range(trials):
+        cols = sampler.columns(derive_stream(seed, [3, t]), n + 1)
+        row = cols.row(n)
+        band = venn_distribution(taxonomy, cols.head(n), row.x, row.y)
+        for k, y in enumerate(grid):
+            mean_q[k] += band.evaluate(y, 0.0)
+            emp[k] += row.y <= y
+        if sampler.binary:
+            bucket = by_p.setdefault(1.0 - band.evaluate(0.0, 0.0), [0, 0])
+            bucket[0] += 1
+            bucket[1] += row.y == 1.0
+    marginal = tuple((y, mean_q[k] / trials, emp[k] / trials) for k, y in enumerate(grid))
+    conditional = tuple((p, cnt, ones / cnt) for p, (cnt, ones) in sorted(by_p.items()))
+    return marginal, conditional
+
+
+def _cell_of_third(cols):
+    return np.floor(cols.xs[:, 0] * 3.0)
+
+
+@pytest.mark.parametrize("taxonomy", [histogram_taxonomy, _cell_of_third], ids=["hist", "thirds"])
+@pytest.mark.parametrize("sampler_id", ["p1", "p3"])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_venn_calibration_is_a_loop_over_venn_distribution(taxonomy, sampler_id, n):
+    sampler, grid = SAMPLERS[sampler_id], [-1.0, 0.0, 0.5, 1.0, 2.0]
+    for seed in (0, 7, 20240801):
+        res = venn_calibration(taxonomy, sampler, n, 12, grid, seed)
+        assert tuple(res) == _venn_calibration_by_trial(taxonomy, sampler, n, 12, grid, seed)
+
+
+def test_venn_calibration_rejects_a_taxonomy_that_labels_only_the_training_rows():
+    with pytest.raises(ValueError, match="label all n"):
+        venn_calibration(lambda cols: [0] * (len(cols) - 1), SAMPLERS["p3"], 5, 3, [0.0], 1)
 
 
 # --- emission helpers ---------------------------------------------------------------

@@ -96,6 +96,27 @@ def test_taxonomy_requires_two_items():
         histogram_taxonomy([0.5])
 
 
+# Nine rows give cells of width 0.5, where 1e308 / 0.5 overflows.
+HUGE_FIRST = [obs(1e308, 0.0)] + [obs(0.5, 0.0)] * 8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: histogram_taxonomy(HUGE_FIRST),
+        lambda: histogram_taxonomy(Columns.from_observations(HUGE_FIRST)),
+        lambda: venn_distribution(histogram_taxonomy, HUGE_FIRST[1:], 1e308, 0.0),
+        lambda: venn_distribution(
+            histogram_taxonomy, Columns.from_observations(HUGE_FIRST[1:]), 1e308, 0.0
+        ),
+    ],
+    ids=["taxonomy", "taxonomy on columns", "venn", "venn on columns"],
+)
+def test_a_predictor_too_large_for_its_cell_raises_one_error_in_both_forms(call):
+    with pytest.raises(ValueError, match=r"predictor too large for cells of width 0\.5"):
+        call()
+
+
 # --- conformal p-values -----------------------------------------------------
 
 
