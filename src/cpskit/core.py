@@ -425,22 +425,29 @@ class PredictiveBand(_Record):
         return "\n".join(["y,lower,upper", *map(",".join, rows)]) + "\n"
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class RandomStream:
     """Deterministic uniform stream addressed by a seed and a derivation path.
 
     Distinct paths under the same master seed give independent streams; the
     same (seed, path) pair always replays the same sequence of draws.  The
-    seed is a Python or numpy integer, taken modulo ``2**64``; any other
-    value, a float or a bool included, raises ValueError.
+    seed is a Python or numpy integer, taken modulo ``2**64``; so are the
+    path entries, ``child`` indices and the counts of ``uniforms``, ``skip``
+    and ``permutation``, without the modulo.  Any other value, a float, a
+    bool or a string included, raises ValueError naming it.
     """
 
     __slots__ = ("seed", "path", "draws", "_gen")
 
     def __init__(self, seed: int, path: Sequence[int] = ()):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        self.seed = int(seed) % (1 << 64)
-        self.path = tuple(int(p) for p in path)
+        self.seed = _integer(seed, "seed") % (1 << 64)
+        self.path = tuple([_integer(p, "derivation path entry") for p in path])
         if any(p < 0 for p in self.path):
             raise ValueError("derivation path entries must be non-negative")
         self.draws = 0
@@ -454,27 +461,29 @@ class RandomStream:
 
     def uniforms(self, k: int) -> np.ndarray:
         """``k`` draws from U[0, 1) as a float64 array."""
-        out = self._gen.random(int(k))
+        out = self._gen.random(_integer(k, "draw count"))
         self.draws += len(out)
         return out
 
     def skip(self, k: int) -> None:
         """Count and move past the ``k`` draws of ``uniforms(k)`` without making them."""
+        k = _integer(k, "draw count")
         if k < 0:
             raise ValueError(f"cannot skip {k} draws")
-        self._gen.bit_generator.advance(int(k))  # a double takes one 64-bit state step
-        self.draws += int(k)
+        self._gen.bit_generator.advance(k)  # a double takes one 64-bit state step
+        self.draws += k
 
     def permutation(self, k: int) -> list[int]:
         """A uniformly random permutation of range(k)."""
+        k = _integer(k, "permutation size")
         if k < 0:
             raise ValueError(f"cannot permute {k} items")
         self.draws += 1
-        return [int(i) for i in self._gen.permutation(int(k))]
+        return [int(i) for i in self._gen.permutation(k)]
 
     def child(self, *indices: int) -> "RandomStream":
         """Independent sub-stream at ``path + indices``."""
-        return RandomStream(self.seed, self.path + tuple(int(i) for i in indices))
+        return RandomStream(self.seed, self.path + indices)
 
     def replica(self) -> "RandomStream":
         """Fresh stream at the same (seed, path), replaying from the start."""

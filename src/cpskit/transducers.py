@@ -213,7 +213,9 @@ def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
     one lie below it, and at or below it, in O(k log k) time and O(k) memory
     for ``k < 2**31`` finite responses.  Those at or below it come before it
     in the sort by (value, index), and ``_earlier_smaller`` counts them;
-    those below it are fewer by its offset in its run of equal values."""
+    those below it are fewer by its offset in its run of equal values.  With
+    ties, one sort of ``run start * k + index`` puts each run in index order,
+    ``-0.0`` and ``0.0`` in one run, as a stable sort would."""
     ys = _response_column(responses)
     if not np.isfinite(ys).all():
         raise ValueError("responses must be finite")
@@ -222,12 +224,15 @@ def dh_online(responses) -> tuple[np.ndarray, np.ndarray]:
     runs = _runs(ys[order])
     tied = len(runs) <= k
     if tied:  # the default sort leaves equal values in any order
-        order = ys.argsort(kind="stable")
+        start = np.repeat(runs[:-1], np.diff(runs))
+        order += start * k
+        order.sort()
+        order -= start * k
     at_or_below = _earlier_smaller(order)
     less, upto = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
     upto[order] = at_or_below + 1
     if tied:
-        at_or_below -= np.arange(k) - np.repeat(runs[:-1], np.diff(runs))
+        at_or_below -= np.arange(k) - start
     less[order] = at_or_below
     return less[1:], upto[1:]
 
@@ -237,14 +242,24 @@ def _earlier_smaller(order: np.ndarray) -> np.ndarray:
     before the row ``order[place]`` have a smaller place.
 
     An MSD radix over the bits of the places ``p`` of the rows, padded to
-    whole groups of 64 by later and larger places.  Before the pass at bit
+    whole blocks of 64 by later and larger places.  Before the pass at bit
     ``s`` the rows whose places agree above bit ``s`` sit together in row
     order, from slot ``p >> (s + 1) << (s + 1)`` as ``p`` is a permutation.
     A row with bit ``s`` set gains the rows of its group before it with the
     bit clear, from one cumulative sum, and a scatter moves those first; the
-    gains ride in the upper 32 bits of ``p``.  In groups of 64, a row gains
-    the bits below ``p % 64`` in the OR of ``1 << (p % 64)`` over the rows
-    before it.
+    gains ride in the upper 32 bits of ``p``.
+
+    The passes stop at groups of 4096 = 64 * 64 places, whose slots form
+    blocks of 64 rows, 64 blocks to a group and fewer in a last partial one.
+    Each block's rows are sorted by place, so a row's rank among its block's
+    places is its position.  A cell, one uint64 per block and word of 64
+    places, ORs ``1 << (p % 64)`` over the block's rows with places in the
+    word; summed over the group's blocks up to its own, it holds those
+    places of all the group's rows up to the block's end.  A row gains the
+    popcounts of its block's cells up to its word, less the bits at or above
+    its own in its cell, less its rank, plus the earlier rows of its block
+    with a smaller place: the bits below its slot in the OR of
+    ``1 << (slot % 64)`` over its block's rows in place order up to its own.
     """
     k = len(order)
     K = -(-k // 64) * 64
@@ -253,7 +268,7 @@ def _earlier_smaller(order: np.ndarray) -> np.ndarray:
     nxt, bit, work = np.empty_like(p), np.empty_like(p), np.empty_like(p)
     csum = np.zeros(K + 1, dtype=np.int64)
     gain = csum[:-1]
-    for s in range((K - 1).bit_length() - 1, 5, -1):
+    for s in range((K - 1).bit_length() - 1, 11, -1):
         g, full = 2 << s, K - K % (2 << s)
         np.bitwise_and(np.right_shift(p, s, out=bit), 1, out=bit)
         np.cumsum(bit, out=csum[1:])
@@ -275,14 +290,43 @@ def _earlier_smaller(order: np.ndarray) -> np.ndarray:
         p += np.left_shift(gain, 32, out=gain)
         nxt[work] = p
         p, nxt = nxt, p
-    np.left_shift(1, np.bitwise_and(p, 63, out=bit), out=bit)
-    mask, seen = bit.view(np.uint64), work.view(np.uint64)
+    # ``bit``: each row's place in its group and slot in its block, sorted by
+    # place within each block; ``nxt``: the ``p`` of those rows.
+    np.left_shift(np.bitwise_and(p, 4095, out=bit), 6, out=bit)
+    bit |= np.bitwise_and(slot, 63, out=work)
+    bit.reshape(-1, 64).sort(axis=1)
+    np.bitwise_or(np.bitwise_and(bit, 63, out=work), np.bitwise_and(slot, -64, out=nxt), out=work)
+    np.take(p, work, out=nxt, mode="clip")  # "raise" would copy ``out`` first
+    # ``gain``: the earlier rows of the block with a smaller place, less the
+    # rank, which is the position in the sorted block.
+    mask, seen = work.view(np.uint64), gain.view(np.uint64)
+    np.left_shift(1, np.bitwise_and(bit, 63, out=work), out=work)
     np.bitwise_or.accumulate(mask.reshape(-1, 64), axis=1, out=seen.reshape(-1, 64))
     mask -= np.uint64(1)
     seen &= mask
-    p += np.left_shift(np.bitwise_count(seen, out=bit), 32, out=bit)
-    nxt[np.bitwise_and(p, 0xFFFFFFFF, out=bit)] = np.right_shift(p, 32, out=work)
-    return nxt[:k]
+    np.bitwise_count(seen, out=gain)
+    gain -= np.bitwise_and(slot, 63, out=work)
+    # ``work``: the row's cell; ``bit``: its place's bit in the cell's word.
+    np.bitwise_or(np.right_shift(bit, 12, out=work), np.bitwise_and(slot, -64, out=p), out=work)
+    np.left_shift(1, np.bitwise_and(np.right_shift(bit, 6, out=bit), 63, out=bit), out=bit)
+    table = p.view(np.uint64)
+    table.fill(0)
+    np.add.at(table, work, bit.view(np.uint64))  # distinct bits: the sum is the OR
+    cells, full = table.reshape(-1, 64), K // 4096 * 64
+    groups = cells[:full].reshape(-1, 64, 64)
+    np.cumsum(groups, axis=1, out=groups)
+    np.cumsum(cells[full:], axis=0, out=cells[full:])
+    # The places up to the row's word, less those at or above its bit.
+    got = slot.view(np.uint64)
+    np.take(table, work, out=got, mode="clip")
+    got &= np.negative(bit, out=bit).view(np.uint64)
+    gain -= np.bitwise_count(got, out=bit)
+    counts = np.bitwise_count(table, out=slot).reshape(-1, 64)
+    np.cumsum(counts, axis=1, out=counts)
+    gain += np.take(slot, work, out=bit, mode="clip")
+    gain += np.right_shift(nxt, 32, out=bit)
+    p[np.bitwise_and(nxt, 0xFFFFFFFF, out=nxt)] = gain
+    return p[:k]
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

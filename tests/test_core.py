@@ -525,6 +525,36 @@ def test_stream_rejects_a_seed_that_is_not_an_integer(seed):
         derive_stream(seed, [0])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(1.0), True, np.bool_(False), "3", None])
+def test_stream_rejects_path_entries_and_counts_that_are_not_integers(bad):
+    # int() would read [1.5] as path [1], [True] as [1] and "3" as 3.
+    st = derive_stream(7, [0])
+    calls = [
+        ("derivation path entry", lambda: derive_stream(7, [bad])),
+        ("derivation path entry", lambda: derive_stream(7, [0, bad])),
+        ("derivation path entry", lambda: st.child(bad)),
+        ("derivation path entry", lambda: st.child(1, bad)),
+        ("draw count", lambda: st.uniforms(bad)),
+        ("draw count", lambda: st.skip(bad)),
+        ("permutation size", lambda: st.permutation(bad)),
+    ]
+    for what, call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be an integer, got {bad!r}")):
+            call()
+    assert st.draws == 0 and st.uniform() == derive_stream(7, [0]).uniform()
+
+
+def test_stream_takes_numpy_integers_as_paths_and_counts():
+    st, ref = derive_stream(7, [np.int64(1), np.uint8(2)]), derive_stream(7, [1, 2])
+    assert st.path == (1, 2) and type(st.path[0]) is int
+    assert st.child(np.int32(3)).path == (1, 2, 3)
+    st.skip(np.int64(2))
+    ref.skip(2)
+    assert (st.uniforms(np.uint16(3)) == ref.uniforms(3)).all()
+    assert st.permutation(np.int8(5)) == ref.permutation(5)
+    assert st.draws == ref.draws == 6
+
+
 def test_stream_accepts_python_and_numpy_integers():
     for seed in (np.int64(-5), np.uint8(200), -(1 << 70), 1 << 64):
         draws = derive_stream(seed, [1]).uniforms(3)

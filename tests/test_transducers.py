@@ -233,10 +233,65 @@ def test_dh_online_matches_comparing_every_pair(k):
         assert upto.tolist() == want_upto.tolist()
 
 
+def _dh_online_sorted_list(ys):
+    """``_dh_online_brute``'s counts from a sorted list of the earlier
+    responses, in O(k) memory."""
+    seen, less, upto = [], [], []
+    for y in ys.tolist():
+        less.append(bisect.bisect_left(seen, y))
+        upto.append(bisect.bisect_right(seen, y) + 1)
+        bisect.insort(seen, y)
+    return less[1:], upto[1:]
+
+
+# Both sides of the 4096-place groups: no radix pass, one, two and three, and
+# partial last groups.
+@pytest.mark.parametrize("k", [4095, 4096, 4097, 8191, 8192, 8193, 12287, 12288, 12289, 20000])
+def test_dh_online_matches_a_sorted_list_across_its_4096_place_groups(k):
+    rng = np.random.default_rng(k)
+    for ys in _dh_online_responses(k, rng):
+        less, upto = dh_online(ys)
+        want_less, want_upto = _dh_online_sorted_list(ys)
+        assert less.tolist() == want_less
+        assert upto.tolist() == want_upto
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("digits", [None, 2])
+def test_dh_online_matches_a_fenwick_count_at_a_million_steps(digits):
+    # Eight radix passes, then the 4096-place groups.
+    ys = np.random.default_rng(6).normal(size=10**6)
+    if digits is not None:
+        ys = np.round(ys, digits)
+    values = ys.tolist()
+    rank = {v: r for r, v in enumerate(sorted(set(values)), 1)}
+    tree = [0] * (len(rank) + 1)
+    less, upto = [], []
+    for y in values:
+        r, below, at_or_below = rank[y], 0, 0
+        i = r - 1
+        while i:
+            below += tree[i]
+            i &= i - 1
+        i = r
+        while i:
+            at_or_below += tree[i]
+            i &= i - 1
+        less.append(below)
+        upto.append(at_or_below + 1)
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
+    got_less, got_upto = dh_online(ys)
+    assert got_less.tolist() == less[1:]
+    assert got_upto.tolist() == upto[1:]
+
+
 @pytest.mark.parametrize("digits", [None, 2])
 def test_dh_online_peak_memory_is_linear(digits):
-    # About 58 bytes per response; a k x 64 comparison or O(k log k)
-    # temporaries would exceed the bound.
+    # Measured at 65.0 bytes per response continuous and 65.1 tied (64.7 and
+    # 56.7 with 64-place groups and a stable argsort for ties); a k x 64
+    # comparison or O(k log k) temporaries would exceed the bound.
     k = 10**5
     ys = np.random.default_rng(4).random(k)
     if digits is not None:
