@@ -53,6 +53,12 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-5e-05", "-5." and "-0.5,0.3" as flags; a token that
+        # begins with "-" and a digit, or with "-." and a digit, is a value.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")

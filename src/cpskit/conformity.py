@@ -27,7 +27,7 @@ __all__ = [
 SCORE_TOL = 1e-12
 
 
-def trivial_score(data: Sequence, candidate, rng: RandomStream | None = None) -> float:
+def trivial_score(data: Sequence, candidate) -> float:
     """The candidate's response itself; ignores predictors and data."""
     return float(candidate.y)
 
@@ -77,12 +77,7 @@ def nn_score(data: Sequence, candidate, rng: RandomStream | None = None) -> floa
     return float(candidate.y) - _pick_response(nearest, rng)
 
 
-def histogram_score(
-    data: Sequence,
-    candidate,
-    n_for_partition: int,
-    rng: RandomStream | None = None,
-) -> float:
+def histogram_score(data: Sequence, candidate, n_for_partition: int) -> float:
     """In-cell rank of the candidate's ``(y, theta)`` pair, in [0, 1].
 
     ``data`` and ``candidate`` are extended observations with scalar

@@ -127,14 +127,6 @@ class ExtendedObservation(_Record):
         return self.obs.y
 
 
-def _trusted_observation(x: tuple[float, ...], y: float) -> Observation:
-    """An Observation from values already checked finite, skipping re-validation."""
-    obs = object.__new__(Observation)
-    object.__setattr__(obs, "x", x)
-    object.__setattr__(obs, "y", y)
-    return obs
-
-
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
@@ -204,14 +196,11 @@ class Columns:
 
     def row(self, i: int) -> Observation:
         """Row ``i`` as an Observation."""
-        return _trusted_observation(tuple(self.xs[i].tolist()), float(self.ys[i]))
+        return Observation(self.xs[i].tolist(), self.ys[i])
 
     def observations(self) -> list[Observation]:
         """Every row as an Observation, in order."""
-        return [
-            _trusted_observation(tuple(x), y)
-            for x, y in zip(self.xs.tolist(), self.ys.tolist())
-        ]
+        return list(map(Observation, self.xs.tolist(), self.ys.tolist()))
 
 
 def as_columns(training) -> Columns:

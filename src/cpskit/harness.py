@@ -262,17 +262,17 @@ def _size(value, name: str) -> int:
 
 def _trial(spec, sampler, n, stream, tau, oracle=None):
     """``n + 1`` rows, their tie-break numbers, then tau (unless fixed), all
-    from ``stream``; returns the band at the last row's predictor, built
-    from the first ``n``, with the last row, tau and ``oracle(last row)``,
-    which is evaluated before the band is built (None without an oracle).
-    Without ``tie_breaks`` the numbers are skipped at the same stream
-    position (``skip`` gives None)."""
+    from ``stream``; returns the band at the last row's predictor ``x``,
+    built from the first ``n``, with the last row's response, tau and
+    ``oracle(x)``, which is evaluated before the band is built (None without
+    an oracle).  Without ``tie_breaks`` the numbers are skipped at the same
+    stream position (``skip`` gives None)."""
     cols = sampler.columns(stream, n + 1)
     thetas = stream.uniforms(n + 1) if spec.tie_breaks else stream.skip(n + 1)
     tau = stream.uniform() if tau is None else float(tau)
-    test = cols.row(n)
-    target = None if oracle is None else oracle(test)
-    return spec.band(cols.head(n), test.x, stream, thetas, None), test, tau, target
+    x, y = tuple(cols.xs[n].tolist()), float(cols.ys[n])
+    target = None if oracle is None else oracle(x)
+    return spec.band(cols.head(n), x, stream, thetas, None), y, tau, target
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +301,8 @@ def pit_sample(
         raise ValueError(f"system {system!r} does not define a randomized p-value")
     out = []
     for t in range(trials):
-        band, test, tau_t, _ = _trial(spec, sampler, n, derive_stream(master_seed, [0, t]), tau)
-        out.append(band.evaluate(test.y, tau_t))
+        band, y, tau_t, _ = _trial(spec, sampler, n, derive_stream(master_seed, [0, t]), tau)
+        out.append(band.evaluate(y, tau_t))
     return out
 
 
@@ -386,7 +386,7 @@ def consistency_curve(
         sampler.conditional_mean(f, 0.5)  # no oracle at all: raises before any stream
     ns = [_size(n, "training sizes") for n in ns]
     # An oracle without ``f`` raises at the first trial, before its band.
-    oracle = lambda test: sampler.conditional_mean(f, scalar_predictor(test))
+    oracle = lambda x: sampler.conditional_mean(f, scalar_predictor(x))
     rows: list[tuple[int, float]] = []
     for j, n in enumerate(ns):
         gaps = []

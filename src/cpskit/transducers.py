@@ -69,7 +69,6 @@ def conformal_pvalue(
     candidate: Observation,
     tau: float,
     thetas: Sequence[float] | None = None,
-    rng: RandomStream | None = None,
     taxonomy=None,
 ) -> float:
     """Randomized rank p-value of ``candidate`` against ``training``.
@@ -97,12 +96,11 @@ def conformal_pvalue(
             raise ValueError("taxonomy must label all n + 1 observations")
         members = [i for i in members if labels[i] == labels[n]]
     seq, cand = _extend(training, candidate, thetas)
-    kwargs = {} if rng is None else {"rng": rng}
-    cand_score = measure(seq, cand, **kwargs)
+    cand_score = measure(seq, cand)
     less = 0
     tied = 1
     for i in members:
-        score = measure(seq[:i] + seq[i + 1 :] + [cand], seq[i], **kwargs)
+        score = measure(seq[:i] + seq[i + 1 :] + [cand], seq[i])
         if score < cand_score:
             less += 1
         elif score == cand_score:
@@ -116,11 +114,9 @@ def mondrian_pvalue(
     training: Sequence[Observation],
     candidate: Observation,
     tau: float,
-    thetas: Sequence[float] | None = None,
-    rng: RandomStream | None = None,
 ) -> float:
     """``conformal_pvalue`` restricted to the candidate's taxonomy class."""
-    return conformal_pvalue(measure, training, candidate, tau, thetas, rng, taxonomy)
+    return conformal_pvalue(measure, training, candidate, tau, taxonomy=taxonomy)
 
 
 def _runs(*columns: np.ndarray) -> np.ndarray:

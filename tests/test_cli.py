@@ -210,6 +210,32 @@ def test_bad_argument_values_are_usage_errors(capsys, tmp_path, dh_csv, argv):
     assert capsys.readouterr().err.startswith("cpskit: error:")
 
 
+@pytest.mark.parametrize("system, flag, value", [
+    ("venn", "--u", "-5e-05"),
+    ("dh", "--x", "-1e-3"),
+    ("venn", "--u", "-5."),
+    ("nn", "--x", "-0.5,0.3"),
+])
+def test_negative_values_are_values_not_flags(capsys, tmp_path, system, flag, value):
+    # argparse's own negative-number pattern knows no exponent, trailing dot or comma.
+    path = _csv(tmp_path, "x1,x2,y\n0.0,0.5,1.0\n1.0,-0.5,3.0\n" if "," in value else
+                "x1,y\n0.0,1.0\n1.0,3.0\n")
+    other = "--u" if flag == "--x" else "--x"
+    argv = ["band", "--system", system, "--input", path, other, "1.0"]
+    apart, joined = argv + [flag, value], argv + [f"{flag}={value}"]
+    assert run(capsys, apart) == run(capsys, joined)
+    assert run(capsys, apart)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["consistency", "--system", "dh", "--ns", "-5,10"],
+    ["validate", "--system", "dh", "--online", "--epsilon", "-1e-3"],
+])
+def test_negative_values_reach_cpskit_own_checks(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("cpskit: error:")
+
+
 def test_consistency_single_row(capsys):
     code, out = run(capsys, ["consistency", "--system", "hist-mondrian", "--sampler", "p1",
                              "--function", "clamp", "--ns", "100", "--trials", "10",

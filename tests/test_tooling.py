@@ -7,12 +7,14 @@ converse holds too: a name that a cpskit module imports and never reads
 (or exports in ``__all__``) is there only for the tracer, and only
 ``cpskit/harness.py`` and ``cpskit/cli.py`` hold such names.  Apart from the
 tracer, the package must import nothing but numpy and the standard library,
-and every function it defines must be named somewhere outside its own
-definition, so that a helper nothing calls any more fails here.
+every function it defines must be named somewhere outside its own
+definition, so that a helper nothing calls any more fails here, and every
+parameter with a default must be passed by some call.
 """
 
 import ast
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +154,63 @@ def _named_outside_definitions(root):
 def test_every_function_is_named_outside_its_own_definition():
     # A helper that nothing names any more is dead code; keep the tree free of it.
     assert _named_outside_definitions(TRACING.parents[1]) == []
+
+
+def _callee(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _uncalled_defaults(root):
+    """Parameters with a default, of functions and methods defined in
+    ``src/cpskit``, that no call in ``src/``, ``tests/`` or ``perfbench/``
+    passes by position or keyword.  Calls are matched by name: a call of a
+    class calls its ``__init__``, and ``partial(f, ...)`` calls ``f``."""
+    passed, defs, owner = {}, [], {}
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py"),
+                        *(root / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name, args = _callee(node.func), node.args
+                if name == "partial" and args:
+                    name, args = _callee(args[0]), args[1:]
+                passed.setdefault(name, set()).update([len(args)] + [k.arg for k in node.keywords])
+            elif path.parent.name != "cpskit":
+                continue
+            elif isinstance(node, ast.ClassDef):
+                owner.update((fn, node.name) for fn in node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((node, path))
+    found = []
+    for fn, path in defs:
+        cls = owner.get(fn)
+        seen = passed.get(cls if fn.name == "__init__" else fn.name, set())
+        positional = fn.args.posonlyargs + fn.args.args
+        bound = cls is not None and "staticmethod" not in map(_callee, fn.decorator_list)
+        defaulted = positional[len(positional) - len(fn.args.defaults):]
+        defaulted += [p for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+        for p in defaulted:
+            # Positional calls reach a parameter when they pass this many arguments.
+            reach = positional.index(p) + 1 - bound if p in positional else math.inf
+            if p.arg not in seen and not any(isinstance(k, int) and k >= reach for k in seen):
+                found.append(f"{path.name}:{fn.lineno} {fn.name}({p.arg})")
+    return found
+
+
+def test_an_uncalled_default_is_caught(tmp_path):
+    (tmp_path / "src" / "cpskit").mkdir(parents=True)
+    (tmp_path / "src" / "cpskit" / "m.py").write_text(
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "class K:\n    def __init__(self, a=0):\n        pass\n"
+        "    def g(self, z=1):\n        pass\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("f(0, c=3)\nK(1)\nK().g()\n")
+    assert _uncalled_defaults(tmp_path) == ["m.py:1 f(b)", "m.py:6 g(z)"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # A parameter whose default every call takes only ever holds that one
+    # value, so the code that reads any other value of it is dead.
+    assert _uncalled_defaults(TRACING.parents[1]) == []
 
 
 def _is_number(node):
