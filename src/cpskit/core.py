@@ -22,7 +22,6 @@ __all__ = [
     "Observation",
     "ExtendedObservation",
     "Columns",
-    "as_columns",
     "PredictiveBand",
     "RandomStream",
     "derive_stream",
@@ -38,6 +37,23 @@ def _finite(value, what: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return v
+
+
+_NUMBER = (int, float, np.integer, np.floating)  # one coordinate of a predictor
+
+
+def _predictor(x) -> tuple[float, ...]:
+    """``x`` read as a predictor, a tuple of finite floats: a number is one
+    coordinate, and anything else but a string is a sequence of them."""
+    if not isinstance(x, tuple):  # a tuple, as the harness passes, is neither
+        if isinstance(x, _NUMBER):
+            return (_finite(x, "predictor component"),)
+        if isinstance(x, (str, bytes)):
+            raise ValueError(f"a predictor is a number or a sequence of numbers, got {x!r}")
+    xs = tuple([_finite(v, "predictor component") for v in x])
+    if not xs:
+        raise ValueError("predictor must have dimension >= 1")
+    return xs
 
 
 def _check_tau(tau: float) -> float:
@@ -80,21 +96,17 @@ class _Record:
 class Observation(_Record):
     """A predictor vector paired with a real response.
 
-    ``x`` accepts a bare number for one-dimensional problems and is stored
-    as a tuple so that observations stay hashable.
+    ``x`` is a number (a numpy scalar included) for a one-dimensional
+    problem, or a sequence of finite numbers of dimension at least 1; a
+    string is rejected.  It is stored as a tuple of floats so that
+    observations stay hashable.
     """
 
     __slots__ = ("x", "y")
     _values = property(attrgetter(*__slots__))
 
     def __init__(self, x, y):
-        if isinstance(x, (int, float)):
-            xs = (_finite(x, "predictor component"),)
-        else:
-            xs = tuple(_finite(v, "predictor component") for v in x)
-        if not xs:
-            raise ValueError("predictor must have dimension >= 1")
-        object.__setattr__(self, "x", xs)
+        object.__setattr__(self, "x", _predictor(x))
         object.__setattr__(self, "y", _finite(y, "response"))
 
     @property
@@ -201,11 +213,6 @@ class Columns:
     def observations(self) -> list[Observation]:
         """Every row as an Observation, in order."""
         return list(map(Observation, self.xs.tolist(), self.ys.tolist()))
-
-
-def as_columns(training) -> Columns:
-    """``training`` itself when it is Columns, else its column form."""
-    return training if isinstance(training, Columns) else Columns.from_observations(training)
 
 
 _BAND_FIELDS = ("jumps", "lower", "upper", "at_jump_lower", "at_jump_upper")

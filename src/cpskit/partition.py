@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Columns
+from .core import _NUMBER, Columns
 
 __all__ = [
     "h_schedule",
@@ -84,7 +84,7 @@ def scalar_column(columns) -> np.ndarray:
 def scalar_predictor(item) -> float:
     """Extract a scalar predictor from a number, 1-vector, or observation."""
     x = getattr(item, "x", item)
-    if isinstance(x, (int, float)):
+    if isinstance(x, _NUMBER):
         return float(x)
     if len(x) != 1:
         raise _not_scalar(len(x))

@@ -33,10 +33,10 @@ from .core import (
     RandomStream,
     _check_tau,
     _finite,
-    as_columns,
+    _predictor,
 )
 from .conformity import _pick_at, _pick_response
-from .partition import cells, h_schedule, scalar_column, scalar_predictor
+from .partition import cells, h_schedule, scalar_column
 
 __all__ = [
     "conformal_pvalue",
@@ -169,17 +169,28 @@ def _ecdf_band(values) -> PredictiveBand:
     return PredictiveBand._adopt(jumps, plats, plats, plats[1:], plats[1:])
 
 
-def _cells(training: Columns, x) -> tuple[np.ndarray, float]:
+def _inputs(training, x, who: str) -> tuple[Columns, tuple[float, ...]]:
+    """Band builder ``who``'s training rows, at least one, as ``Columns``, and
+    its test predictor ``x`` by the rule of ``Observation``, of their dimension."""
+    cols = training if isinstance(training, Columns) else Columns.from_observations(training)
+    n, d = cols.xs.shape
+    if not n:
+        raise ValueError(f"{who} requires at least one training observation")
+    x = _predictor(x)
+    if len(x) != d:
+        raise ValueError(f"x has dimension {len(x)}, training predictors have {d}")
+    return cols, x
+
+
+def _cells(training: Columns, x: tuple[float, ...]) -> tuple[np.ndarray, float]:
     """Cell of every training predictor and of ``x``, at width ``h_schedule(n)``."""
-    x = _finite(scalar_predictor(x), "predictor component")
-    labels = cells(np.concatenate((scalar_column(training), (x,))), len(training))
+    labels = cells(np.concatenate((scalar_column(training), x)), len(training))
     return labels[:-1], labels[-1]
 
 
-def _in_cell_responses(training, x) -> np.ndarray:
-    cols = as_columns(training)
-    c, c_test = _cells(cols, x)
-    return cols.ys[c == c_test]
+def _in_cell_responses(training: Columns, x: tuple[float, ...]) -> np.ndarray:
+    c, c_test = _cells(training, x)
+    return training.ys[c == c_test]
 
 
 def _response_column(responses) -> np.ndarray:
@@ -366,13 +377,8 @@ def nn_band(
     from only at a tie.  Agrees with
     ``conformal_pvalue(nn_score, ...)`` at every ``(y, tau)`` off the jumps.
     """
-    if len(training) < 1:
-        raise ValueError("nn_band requires at least one training observation")
-    cols = as_columns(training)
-    xs, ys, n = cols.xs, cols.ys, len(cols)
-    xq = np.array(Observation(x, 0.0).x)
-    if len(xq) != cols.d:
-        raise ValueError(f"x has dimension {len(xq)}, training predictors have {cols.d}")
+    cols, x = _inputs(training, x, "nn_band")
+    xs, ys, n, xq = cols.xs, cols.ys, len(cols), np.array(x)
     # A squared distance may overflow to inf, which still compares exactly;
     # an infinite crossing fails validation.
     with np.errstate(over="ignore"):
@@ -545,9 +551,7 @@ def hmps_band(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
     with denominator ``N + 1``.  An empty cell leaves only the candidate in
     its class, giving ``Q_tau identically tau``.
     """
-    if len(training) < 1:
-        raise ValueError("hmps_band requires at least one training observation")
-    return _rank_band(_in_cell_responses(training, x))
+    return _rank_band(_in_cell_responses(*_inputs(training, x, "hmps_band")))
 
 
 def pfs_distribution(training: Sequence[Observation] | Columns, x) -> PredictiveBand:
@@ -556,9 +560,7 @@ def pfs_distribution(training: Sequence[Observation] | Columns, x) -> Predictive
     The result is a genuine right-continuous distribution function (lower and
     upper coincide; no randomization slack).
     """
-    if len(training) < 1:
-        raise ValueError("pfs_distribution requires at least one training observation")
-    in_cell = _in_cell_responses(training, x)
+    in_cell = _in_cell_responses(*_inputs(training, x, "pfs_distribution"))
     return _ecdf_band(in_cell if len(in_cell) else [0.0])
 
 
@@ -571,37 +573,20 @@ def venn_distribution(
     and the empirical distribution of the responses in that class (including
     ``u`` itself) returned.  For response-blind taxonomies the class is the
     same for every ``u``, and distribution functions for different ``u``
-    differ by at most ``1 / class size`` pointwise.  With ``Columns`` the
-    taxonomy labels the ``n + 1`` rows as ``Columns``, as
-    ``histogram_taxonomy`` does.
+    differ by at most ``1 / class size`` pointwise.  Training in either form
+    is read as ``Columns``, so the taxonomy always labels the ``n + 1`` rows
+    as ``Columns``, one scalar label a row, as ``histogram_taxonomy`` does.
     """
-    n = len(training)
-    if n < 1:
-        raise ValueError("venn_distribution requires at least one training observation")
-    test = Observation(x, u)
-    if isinstance(training, Columns):
-        if len(test.x) != training.d:
-            raise ValueError(
-                f"x has dimension {len(test.x)}, training predictors have {training.d}"
-            )
-        joined = Columns._adopt(np.vstack((training.xs, [test.x])), np.append(training.ys, test.y))
-        return _venn_band(taxonomy, joined)
-    seq = list(training) + [test]
-    labels = _labels(taxonomy, seq)
-    return _ecdf_band([o.y for o, lab in zip(seq, labels) if lab == labels[n]])
-
-
-def _labels(taxonomy, rows):
-    """``taxonomy(rows)``, which must label every row."""
-    labels = taxonomy(rows)
-    if len(labels) != len(rows):
-        raise ValueError("taxonomy must label all n + 1 observations")
-    return labels
+    cols, x = _inputs(training, x, "venn_distribution")
+    rows = Columns._adopt(np.vstack((cols.xs, [x])), np.append(cols.ys, _finite(u, "response")))
+    return _venn_band(taxonomy, rows)
 
 
 def _venn_band(taxonomy, rows: Columns) -> PredictiveBand:
     """ECDF of the responses in the last (test) row's taxonomy class among ``rows``."""
-    labels = _labels(taxonomy, rows)
+    labels = taxonomy(rows)
+    if len(labels) != len(rows):
+        raise ValueError("taxonomy must label all n + 1 observations")
     return _ecdf_band(rows.ys[np.asarray(labels) == labels[-1]])
 
 
@@ -775,11 +760,9 @@ def hcps_band(
     taken before the in-cell arrays are made, and the cell column is dropped
     after them.
     """
-    n = len(training)
-    if n < 1:
-        raise ValueError("hcps_band requires at least one training observation")
+    cols, x = _inputs(training, x, "hcps_band")
+    n = len(cols)
     thetas = _tie_breaks(thetas, n + 1)
-    cols = as_columns(training)
     c, c_test = _cells(cols, x)
     mates = (c == c_test).nonzero()[0]
     m = len(mates)

@@ -26,6 +26,7 @@ from cpskit import (
     pit_sample,
 )
 from cpskit.harness import PredictiveSystemSpec, rows_to_csv
+from cpskit.partition import histogram_taxonomy, scalar_predictor
 
 TOL = 1e-12
 
@@ -44,6 +45,24 @@ def test_observation_rejects_non_finite():
         Observation(0.0, float("inf"))
     with pytest.raises(ValueError):
         Observation((), 0.0)
+
+
+@pytest.mark.parametrize("x", ["12", "0.15", "", b"5"])
+def test_observation_rejects_a_string_predictor(x):
+    # A string is a sequence, but not of numbers: "12" is not (1.0, 2.0).
+    with pytest.raises(ValueError, match="a predictor is a number or a sequence of numbers"):
+        Observation(x, 0.0)
+
+
+def test_numpy_scalars_are_numbers_as_predictors():
+    scalars = np.int64(0), np.int32(3), np.uint8(7), np.float32(0.25), np.float64(0.5)
+    for x in scalars:
+        assert Observation(x, 1.0).x == (float(x),)
+        assert scalar_predictor(x) == float(x)
+    assert histogram_taxonomy(list(scalars)) == histogram_taxonomy([float(x) for x in scalars])
+    training = [Observation(v / 8, v) for v in range(8)]
+    assert hmps_band(training, np.float32(0.25)) == hmps_band(training, 0.25)
+    assert pfs_distribution(training, np.int64(0)) == pfs_distribution(training, 0.0)
 
 
 def test_extended_observation_theta_range():

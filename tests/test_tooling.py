@@ -13,6 +13,7 @@ parameter with a default must be passed by some call.
 """
 
 import ast
+import importlib
 import importlib.util
 import math
 import os
@@ -265,3 +266,17 @@ def test_importing_the_package_loads_neither_json_nor_statistics_nor_dataclasses
     added = set(child.stdout.split())
     assert "cpskit.harness" in added
     assert added & {"json", "statistics", "fractions", "decimal", "dataclasses"} == set()
+
+
+def test_every_name_in_an_all_is_bound():
+    # A stale ``__all__`` entry breaks ``from module import *`` with
+    # AttributeError, and no other test imports with ``*``.
+    src = Path(cli.__file__).parent
+    modules = ["cpskit"] + [f"cpskit.{p.stem}" for p in sorted(src.glob("*.py"))
+                            if not p.stem.startswith("__")]
+    unbound = []
+    for name in modules:
+        module = importlib.import_module(name)
+        unbound += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                    if not hasattr(module, entry)]
+    assert unbound == []

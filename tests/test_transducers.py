@@ -630,6 +630,55 @@ def test_builders_reject_empty_training(build):
         build([])
 
 
+# Eight rows at distinct distances from one another and from 0.25, so that
+# nn_band draws nothing; three of them share the cell of 0.25.
+CONTRACT_XS = [0.11, 0.23, 0.37, 0.52, 0.61, 0.79, 0.83, 0.97]
+CONTRACT_YS = [1.5, -0.5, 2.0, 0.0, 3.0, 1.0, -1.0, 2.5]
+CONTRACT_TRAINING = [obs(x, y) for x, y in zip(CONTRACT_XS, CONTRACT_YS)]
+FIVE_BUILDERS = {
+    "nn_band": partial(nn_band, stream=derive_stream(0, [0])),
+    "hmps_band": hmps_band,
+    "hcps_band": partial(hcps_band, thetas=np.linspace(0.05, 0.95, 9)),
+    "pfs_distribution": pfs_distribution,
+    "venn_distribution": partial(venn_distribution, histogram_taxonomy, u=1.0),
+}
+
+
+def _contract_training(form):
+    if form == "columns":
+        return Columns.from_observations(CONTRACT_TRAINING)
+    return CONTRACT_TRAINING
+
+
+@pytest.mark.parametrize("form", ["observations", "columns"])
+@pytest.mark.parametrize("name", list(FIVE_BUILDERS))
+def test_a_builder_reads_every_spelling_of_a_predictor_alike(name, form):
+    build, training = FIVE_BUILDERS[name], _contract_training(form)
+    band = build(training, 0.25)
+    for x in ((0.25,), [0.25], np.float64(0.25), np.float32(0.25), np.array([0.25])):
+        assert build(training, x) == band, x
+    assert FIVE_BUILDERS["nn_band"].keywords["stream"].draws == 0
+    with pytest.raises(ValueError, match=f"^{name} requires at least one training observation$"):
+        build(training[:0] if form == "observations" else training.head(0), 0.25)
+
+
+@pytest.mark.parametrize("form", ["observations", "columns"])
+@pytest.mark.parametrize(
+    "x",
+    [math.nan, math.inf, "0.25", "5", b"5", Observation(0.25, 0.0), (0.25, 0.5), ()],
+    ids=["nan", "inf", "str", "digit", "bytes", "observation", "d=2", "d=0"],
+)
+def test_the_five_builders_reject_a_predictor_alike(x, form):
+    training, failures = _contract_training(form), set()
+    for build in FIVE_BUILDERS.values():
+        with pytest.raises((ValueError, TypeError)) as info:
+            build(training, x)
+        failures.add((info.type, str(info.value)))
+    assert len(failures) == 1, failures
+    if isinstance(x, (str, bytes)):
+        assert failures == {(ValueError, f"a predictor is a number or a sequence of numbers, got {x!r}")}
+
+
 # --- postulated-response family ----------------------------------------------
 
 
@@ -847,7 +896,7 @@ def _hcps_band_sorting_every_key(columns, x, thetas):
     import cpskit.transducers as transducers
 
     n = len(columns)
-    cells, c_test = transducers._cells(columns, x)
+    cells, c_test = transducers._cells(columns, (x,))
     in_test = cells == c_test
     theta_cand, den, out = thetas[n], n + 1, ~in_test
     out_keys = _cell_rank_keys_lexsort(cells[out], columns.ys[out], thetas[:n][out])
@@ -942,7 +991,7 @@ def test_hcps_band_keys_every_out_of_cell_point_once_a_pair_repeats(monkeypatch)
     monkeypatch.setattr(transducers, "_cell_ranks", spy)
     assert hcps_band(columns, 0.9, thetas=thetas).to_json() == want.to_json()
     (keyed,) = seen
-    cells, c_test = transducers._cells(columns, 0.9)
+    cells, c_test = transducers._cells(columns, (0.9,))
     assert keyed.tolist() == cells[cells != c_test].tolist()
 
 
