@@ -13,7 +13,7 @@ import inspect
 import math
 from typing import Sequence
 
-from .core import RandomStream
+from .core import ExtendedObservation, Observation, RandomStream
 from .partition import cell_index, h_schedule, scalar_predictor
 
 __all__ = [
@@ -142,8 +142,6 @@ def check_permutation_invariance(
 
 
 def _with_response(item, y: float):
-    from .core import ExtendedObservation, Observation
-
     if isinstance(item, ExtendedObservation):
         return ExtendedObservation(Observation(item.obs.x, y), item.theta)
     return Observation(item.x, y)

@@ -33,6 +33,8 @@ VALUE_TOL = 1e-12
 
 
 def _finite(value, what: str) -> float:
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {value!r}")

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Columns, Observation, PredictiveBand, RandomStream, derive_stream
+from .core import Columns, Observation, PredictiveBand, RandomStream, _check_tau, derive_stream
 # Unused here: bound because perfbench/tracing.py wraps these names in this module.
 from .conformity import histogram_score, nn_score, trivial_score  # noqa: F401
 from .partition import histogram_taxonomy, scalar_predictor
@@ -269,7 +269,7 @@ def _trial(spec, sampler, n, stream, tau, oracle=None):
     stream position (``skip`` gives None)."""
     cols = sampler.columns(stream, n + 1)
     thetas = stream.uniforms(n + 1) if spec.tie_breaks else stream.skip(n + 1)
-    tau = stream.uniform() if tau is None else float(tau)
+    tau = stream.uniform() if tau is None else tau
     x, y = tuple(cols.xs[n].tolist()), float(cols.ys[n])
     target = None if oracle is None else oracle(x)
     return spec.band(cols.head(n), x, stream, thetas, None), y, tau, target
@@ -297,6 +297,7 @@ def pit_sample(
     """
     n, trials = _size(n, "n"), _size(trials, "trials")
     spec = _system(system)
+    tau = None if tau is None else _check_tau(tau)
     if not spec.uniform_pit:
         raise ValueError(f"system {system!r} does not define a randomized p-value")
     out = []
@@ -380,6 +381,7 @@ def consistency_curve(
     """
     trials = _size(trials, "trials")
     spec = _system(system)
+    tau = None if tau is None else _check_tau(tau)
     if spec.postulated:
         raise ValueError(f"system {system!r} needs a postulated response")
     if type(sampler).conditional_mean is Sampler.conditional_mean:

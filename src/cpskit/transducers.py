@@ -575,7 +575,7 @@ def venn_distribution(
     same for every ``u``, and distribution functions for different ``u``
     differ by at most ``1 / class size`` pointwise.  Training in either form
     is read as ``Columns``, so the taxonomy always labels the ``n + 1`` rows
-    as ``Columns``, one scalar label a row, as ``histogram_taxonomy`` does.
+    as ``Columns``, one label a row, as ``histogram_taxonomy`` does.
     """
     cols, x = _inputs(training, x, "venn_distribution")
     rows = Columns._adopt(np.vstack((cols.xs, [x])), np.append(cols.ys, _finite(u, "response")))
@@ -584,10 +584,13 @@ def venn_distribution(
 
 def _venn_band(taxonomy, rows: Columns) -> PredictiveBand:
     """ECDF of the responses in the last (test) row's taxonomy class among ``rows``."""
-    labels = taxonomy(rows)
+    labels = np.asarray(taxonomy(rows))
     if len(labels) != len(rows):
         raise ValueError("taxonomy must label all n + 1 observations")
-    return _ecdf_band(rows.ys[np.asarray(labels) == labels[-1]])
+    same = labels == labels[-1]
+    if same.ndim > 1:  # a label that is a sequence compares as a row
+        same = same.reshape(len(rows), -1).all(axis=1)
+    return _ecdf_band(rows.ys[same])
 
 
 def _repeats_a_pair(y: np.ndarray, t: np.ndarray) -> bool:

@@ -161,14 +161,28 @@ def test_validate_unknown_system_is_usage_error(capsys):
     assert code == 1
 
 
+def _refuse_streams(monkeypatch):
+    """Make deriving any stream, in the CLI or in the harness, fail the test."""
+    import cpskit.harness as harness
+
+    def refuse(*args):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(harness, "derive_stream", refuse)
+    monkeypatch.setattr(cli, "derive_stream", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["consistency", "--system", "venn", "--ns", "10", "--trials", "2"],
     ["validate", "--system", "pfs", "--trials", "200"],
     ["validate", "--system", "nonesuch", "--trials", "200"],
+    ["validate", "--system", "venn", "--trials", "200", "--online"],
 ])
-def test_system_without_the_needed_property_is_usage_error(capsys, argv):
-    code, _ = run(capsys, argv)
-    assert code == 1
+def test_system_without_the_needed_property_is_usage_error(capsys, monkeypatch, argv):
+    # The experiment rejects the system before its first stream.
+    _refuse_streams(monkeypatch)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("cpskit: error:")
 
 
 @pytest.mark.parametrize("epsilon", ["-0.1", "1.5", "nan"])
@@ -203,9 +217,14 @@ def test_argument_parser_errors_exit_with_usage_code(capsys, argv):
     ["band", "--system", "hist-conformal", "--input", "{d2}", "--x", "0.5,0.5"],
     ["consistency", "--system", "dh", "--ns", "10,x"],
     ["validate", "--system", "dh", "--trials", "150", "--tau", "fixed:abc"],
-], ids=["--u nan", "scalar-only system on d = 2", "--ns not integers", "--tau value"])
-def test_bad_argument_values_are_usage_errors(capsys, tmp_path, dh_csv, argv):
+    ["validate", "--system", "dh", "--trials", "150", "--tau", "fixed:1.5"],
+    ["validate", "--system", "dh", "--trials", "150", "--online", "--epsilon", "2"],
+    ["band", "--system", "dh", "--input", "{d1}", "--x", "0.5,0.5"],
+], ids=["--u nan", "scalar-only system on d = 2", "--ns not integers", "--tau value",
+        "--tau out of range", "--epsilon out of range", "--x of the wrong dimension"])
+def test_bad_argument_values_are_usage_errors(capsys, monkeypatch, tmp_path, dh_csv, argv):
     d2 = _csv(tmp_path, "x1,x2,y\n0.0,0.0,1.0\n1.0,1.0,3.0\n", name="d2.csv")
+    _refuse_streams(monkeypatch)
     assert main([a.format(d1=dh_csv, d2=d2) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("cpskit: error:")
 
@@ -234,6 +253,22 @@ def test_negative_values_are_values_not_flags(capsys, tmp_path, system, flag, va
 def test_negative_values_reach_cpskit_own_checks(capsys, argv):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("cpskit: error:")
+
+
+# sha256 of `validate --online --trials 500 --seed 3` output, with its exit code.
+VALIDATE_ONLINE = {
+    "dh": ("bc48bdb10b19706023cc8300752ac8dcaad4dfb5957a4ba983d8f248b4bd52ce", 3),
+    "nn": ("eb7d1a6da72243463f04577448c9e78e8e9bf8eb320ec366d69e49bfb2a37308", 0),
+    "hist-conformal": ("8846f26535c7174d542e8ef1e0c5c98b0190c6d9ff3029c6bd37c85bdc432934", 3),
+}
+
+
+@pytest.mark.parametrize("system", sorted(VALIDATE_ONLINE))
+def test_validate_online_output_is_pinned(capsys, system):
+    # The online suite runs before the PIT suite; the JSON keeps ks_uniform first.
+    code, out = run(capsys, ["validate", "--system", system, "--online", "--trials", "500",
+                             "--seed", "3"])
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == VALIDATE_ONLINE[system]
 
 
 def test_consistency_single_row(capsys):

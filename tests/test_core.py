@@ -47,11 +47,19 @@ def test_observation_rejects_non_finite():
         Observation((), 0.0)
 
 
-@pytest.mark.parametrize("x", ["12", "0.15", "", b"5"])
+@pytest.mark.parametrize("x", ["12", "0.15", "", b"5", ["12", "0.5"], ["0.25"], [b"5"]])
 def test_observation_rejects_a_string_predictor(x):
-    # A string is a sequence, but not of numbers: "12" is not (1.0, 2.0).
-    with pytest.raises(ValueError, match="a predictor is a number or a sequence of numbers"):
+    # A string is a sequence, but not of numbers: "12" is not (1.0, 2.0);
+    # nor is it a number as a component: ["12", "0.5"] is not (12.0, 0.5).
+    message = "a predictor is a number or a sequence of numbers|predictor component must be a number"
+    with pytest.raises(ValueError, match=message):
         Observation(x, 0.0)
+
+
+@pytest.mark.parametrize("y", ["1.0", b"1"])
+def test_observation_rejects_a_string_response(y):
+    with pytest.raises(ValueError, match=f"^response must be a number, got {re.escape(repr(y))}$"):
+        Observation(0.5, y)
 
 
 def test_numpy_scalars_are_numbers_as_predictors():

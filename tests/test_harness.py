@@ -249,6 +249,20 @@ def test_consistency_checks_every_size_before_the_first_trial(monkeypatch):
         consistency_curve("hist-conformal", P1, CLAMP, [10000, 0], 20, 1)
 
 
+@pytest.mark.parametrize("tau", [1.5, math.nan])
+def test_a_fixed_tau_is_checked_before_the_first_stream(monkeypatch, tau):
+    import cpskit.harness as harness
+
+    def refuse(*args):
+        raise AssertionError("a trial stream was derived")
+
+    monkeypatch.setattr(harness, "derive_stream", refuse)
+    with pytest.raises(ValueError, match=r"^tau must lie in \[0, 1\]"):
+        pit_sample("dh", P1, 5, 3, 1, tau=tau)
+    with pytest.raises(ValueError, match=r"^tau must lie in \[0, 1\]"):
+        consistency_curve("dh", P1, CLAMP, [5], 3, 1, tau=tau)
+
+
 class _TieBreaksRead(Exception):
     pass
 

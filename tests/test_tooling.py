@@ -127,6 +127,27 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
     assert outside == set()
 
 
+def test_no_function_imports_a_cpskit_module():
+    # cpskit.core imports nothing from the package, so no import cycle needs
+    # a deferred import; only standard-library modules (json in from_json,
+    # fractions in the exact demos) are imported where they run.
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." if node.level else node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name == "." or name.partition(".")[0] == "cpskit" for name in names):
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
+
+
 def _named_outside_definitions(root):
     """Functions and methods defined in ``src/cpskit`` (dunders exempt) that
     no name, attribute or tracer site string outside their own definition

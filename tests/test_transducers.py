@@ -665,8 +665,10 @@ def test_a_builder_reads_every_spelling_of_a_predictor_alike(name, form):
 @pytest.mark.parametrize("form", ["observations", "columns"])
 @pytest.mark.parametrize(
     "x",
-    [math.nan, math.inf, "0.25", "5", b"5", Observation(0.25, 0.0), (0.25, 0.5), ()],
-    ids=["nan", "inf", "str", "digit", "bytes", "observation", "d=2", "d=0"],
+    [math.nan, math.inf, "0.25", "5", b"5", Observation(0.25, 0.0), (0.25, 0.5), (),
+     ["12", "0.5"], ["0.25"], [b"5"]],
+    ids=["nan", "inf", "str", "digit", "bytes", "observation", "d=2", "d=0",
+         "str components", "str component", "bytes component"],
 )
 def test_the_five_builders_reject_a_predictor_alike(x, form):
     training, failures = _contract_training(form), set()
@@ -677,6 +679,8 @@ def test_the_five_builders_reject_a_predictor_alike(x, form):
     assert len(failures) == 1, failures
     if isinstance(x, (str, bytes)):
         assert failures == {(ValueError, f"a predictor is a number or a sequence of numbers, got {x!r}")}
+    if isinstance(x, list):
+        assert failures == {(ValueError, f"predictor component must be a number, got {x[0]!r}")}
 
 
 # --- postulated-response family ----------------------------------------------
@@ -689,6 +693,15 @@ def test_venn_distribution_examples():
     assert abs(b0.evaluate(0.5, 0.0) - 2 / 3) < TOL
     assert abs(b1.evaluate(0.5, 0.0) - 1 / 3) < TOL
     assert b1.evaluate(5.0, 0.0) == 1.0  # above every class response and u
+
+
+def test_venn_distribution_compares_sequence_labels_as_rows():
+    # The test row (0.15, 0.0) shares the label (0, 0) with 0.1 and 0.2, not 0.9.
+    training = [obs(0.1, 1.0), obs(0.9, 2.0), obs(0.2, 3.0)]
+    taxonomy = lambda rows: [(0, int(x[0] > 0.5)) for x in rows.xs.tolist()]
+    band = venn_distribution(taxonomy, training, 0.15, 0.0)
+    assert band.jumps == (0.0, 1.0, 3.0)
+    assert band.upper == (0.0, 1 / 3, 2 / 3, 1.0)
 
 
 def test_venn_distribution_monotone_in_postulated_response():
